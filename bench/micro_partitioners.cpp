@@ -64,39 +64,6 @@ void BM_Mlkp(benchmark::State& state) {
 BENCHMARK(BM_Mlkp)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Scaling of the parallel multilevel partitioner over worker threads
-// (range(1)) at fixed graph size (range(0)). mt-MLKP promises the exact
-// same partition at every thread count, so the speedup is free quality-
-// wise; the final check turns any divergence into a benchmark error.
-void BM_MlkpThreads(benchmark::State& state) {
-  const graph::Graph g = ba_graph(static_cast<std::uint64_t>(state.range(0)));
-  partition::MlkpConfig cfg;
-  cfg.seed = 7;
-  cfg.threads = static_cast<std::size_t>(state.range(1));
-  partition::MlkpPartitioner mlkp(cfg);
-  partition::Partition p;
-  for (auto _ : state) {
-    p = mlkp.partition(g, 8);
-    benchmark::DoNotOptimize(p);
-  }
-  cfg.threads = 1;
-  const partition::Partition serial =
-      partition::MlkpPartitioner(cfg).partition(g, 8);
-  if (p.assignments() != serial.assignments())
-    state.SkipWithError("thread-count invariance violated");
-  report_cut(state, g, p);
-  state.counters["threads"] =
-      static_cast<double>(state.range(1));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_vertices()));
-}
-BENCHMARK(BM_MlkpThreads)
-    ->Args({200000, 1})
-    ->Args({200000, 2})
-    ->Args({200000, 4})
-    ->Args({200000, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_KernighanLin(benchmark::State& state) {
   const graph::Graph g = ba_graph(static_cast<std::uint64_t>(state.range(0)));
   partition::KernighanLinPartitioner kl;
@@ -196,9 +163,10 @@ void BM_CoarsenOnce(benchmark::State& state) {
   const graph::Graph g = ba_graph(static_cast<std::uint64_t>(state.range(0)));
   util::Rng rng(13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        partition::coarsen_once(g, partition::MatchingScheme::kHeavyEdge,
-                                rng));
+    // One level of coarsen(): a matching and its contraction.
+    benchmark::DoNotOptimize(partition::contract(
+        g, partition::match_vertices(
+               g, partition::MatchingScheme::kHeavyEdge, rng.next())));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.num_vertices()));

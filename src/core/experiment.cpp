@@ -30,22 +30,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
     problems.push_back(
         "threads = " + std::to_string(threads) +
         " is not plausible — use 0 for hardware concurrency");
-  if (partitioner_threads > 1024)
-    problems.push_back(
-        "partitioner_threads = " + std::to_string(partitioner_threads) +
-        " is not plausible — use 0 to auto-fit the remaining hardware "
-        "budget or 1 for a serial partitioner");
-  // Explicitly requesting more total threads than the machine has is a
-  // contradiction, not a tuning choice: one of the two knobs must give.
-  if (threads != 0 && threads <= 1024 && partitioner_threads > 1 &&
-      partitioner_threads <= 1024 &&
-      threads * partitioner_threads > util::default_thread_count())
-    problems.push_back(
-        "threads × partitioner_threads = " + std::to_string(threads) +
-        " × " + std::to_string(partitioner_threads) + " exceeds the " +
-        std::to_string(util::default_thread_count()) +
-        " hardware threads — lower one, or set partitioner_threads=0 to "
-        "auto-fit the budget left by the grid workers");
   return problems;
 }
 
@@ -75,17 +59,6 @@ std::vector<ExperimentRun> run_experiment(
   obs::Registry& parent_registry = obs::current();
   const auto grid_start = std::chrono::steady_clock::now();
 
-  // Cap nested parallelism: with `workers` cells in flight, each cell's
-  // partitioner gets at most its share of the hardware budget, so
-  // grid-threads × partitioner-threads never oversubscribes the machine.
-  // mt-MLKP is thread-count invariant, so capping never changes results.
-  const std::size_t workers =
-      std::min(config.threads == 0 ? util::default_thread_count()
-                                   : config.threads,
-               cells.size());
-  const std::size_t cell_partitioner_threads =
-      util::cap_nested_threads(config.partitioner_threads, workers);
-
   auto runs = util::parallel_map(
       cells,
       [&](const Cell& cell) {
@@ -102,8 +75,7 @@ std::vector<ExperimentRun> run_experiment(
           ETHSHARD_OBS_TIMER("experiment/cell_ms");
           ETHSHARD_OBS_RECORD_MS("experiment/queue_wait_ms", queue_wait_ms);
 
-          const auto strategy = make_strategy(cell.method, config.seed,
-                                              cell_partitioner_threads);
+          const auto strategy = make_strategy(cell.method, config.seed);
           SimulatorConfig sim_cfg;
           sim_cfg.k = cell.k;
           sim_cfg.load_model = config.load_model;
@@ -141,7 +113,11 @@ std::vector<ExperimentRun> run_experiment(
       config.threads);
 
   if (obs::enabled()) {
-    const double grid_wall_ms =
+    [[maybe_unused]] const std::size_t workers =
+        std::min(config.threads == 0 ? util::default_thread_count()
+                                     : config.threads,
+                 cells.size());
+    [[maybe_unused]] const double grid_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - grid_start)
             .count();
@@ -150,8 +126,6 @@ std::vector<ExperimentRun> run_experiment(
     const obs::ScopedRegistry scope(parent_registry);
     ETHSHARD_OBS_GAUGE("experiment/threads",
                        static_cast<double>(workers));
-    ETHSHARD_OBS_GAUGE("experiment/partitioner_threads",
-                       static_cast<double>(cell_partitioner_threads));
     ETHSHARD_OBS_GAUGE("experiment/grid_wall_ms", grid_wall_ms);
     ETHSHARD_OBS_GAUGE(
         "experiment/thread_utilization",

@@ -23,12 +23,6 @@ struct ExperimentConfig {
   LoadModel load_model = LoadModel::kCalls;
   /// Worker threads for the grid (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Partitioner (mt-MLKP) threads *per grid cell*: 1 = serial, 0 = use
-  /// whatever hardware budget the grid workers leave over. run_experiment
-  /// always caps the effective value so grid-threads × partitioner-threads
-  /// never exceeds util::default_thread_count(); because mt-MLKP is
-  /// thread-count invariant, the cap changes speed, never results.
-  std::size_t partitioner_threads = 1;
 
   /// Human-readable configuration problems, empty when the config is
   /// runnable. run_experiment calls this up front so a bad grid fails

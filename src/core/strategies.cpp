@@ -276,12 +276,11 @@ void DsmStrategy::on_transaction(std::span<const graph::Vertex> involved,
 
 // ---------------------------------------------------------------- factory
 
-std::unique_ptr<ShardingStrategy> make_strategy(
-    Method method, std::uint64_t seed, std::size_t partitioner_threads) {
+std::unique_ptr<ShardingStrategy> make_strategy(Method method,
+                                                std::uint64_t seed) {
   // Thin wrapper over the string registry: a bare name resolves to the
   // paper's defaults, which are exactly what this enum factory promised.
-  return StrategyRegistry::global().make(method_name(method), seed,
-                                         partitioner_threads);
+  return StrategyRegistry::global().make(method_name(method), seed);
 }
 
 std::string method_name(Method method) {

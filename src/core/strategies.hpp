@@ -243,12 +243,9 @@ inline constexpr Method kAllMethods[] = {Method::kHashing, Method::kKl,
                                          Method::kTrMetis};
 
 /// Factory with the paper's defaults (two-week period, 4-shard-tolerant
-/// thresholds). `seed` perturbs any randomized component;
-/// `partitioner_threads` sets MlkpConfig::threads for the MLKP-backed
-/// methods (1 = serial; results are identical for every thread count).
-std::unique_ptr<ShardingStrategy> make_strategy(
-    Method method, std::uint64_t seed = 1,
-    std::size_t partitioner_threads = 1);
+/// thresholds). `seed` perturbs any randomized component.
+std::unique_ptr<ShardingStrategy> make_strategy(Method method,
+                                                std::uint64_t seed = 1);
 
 /// The method's figure label ("Hashing", "KL", "METIS", "R-METIS",
 /// "TR-METIS").

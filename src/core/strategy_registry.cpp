@@ -47,13 +47,6 @@ partition::MlkpConfig read_mlkp(SpecReader& r) {
   cfg.init_tries = r.get_int("init_tries", cfg.init_tries);
   cfg.refine_passes = r.get_int("refine_passes", cfg.refine_passes);
   cfg.refine = r.get_bool("refine", cfg.refine);
-  cfg.threads = static_cast<std::size_t>(
-      r.get_uint("threads", r.default_threads()));
-  ETHSHARD_CHECK_MSG(cfg.threads <= 1024,
-                     "strategy '" + r.name() + "': threads = " +
-                         std::to_string(cfg.threads) +
-                         " is not plausible — use 0 for hardware "
-                         "concurrency or 1 for serial");
   const std::string matching = r.get_string(
       "matching",
       cfg.matching == partition::MatchingScheme::kHeavyEdge ? "heavy-edge"
@@ -158,9 +151,8 @@ StrategySpec parse_strategy_spec(std::string_view spec) {
   return out;
 }
 
-SpecReader::SpecReader(const StrategySpec& spec, std::uint64_t default_seed,
-                       std::size_t default_threads)
-    : spec_(spec), seed_(default_seed), default_threads_(default_threads) {
+SpecReader::SpecReader(const StrategySpec& spec, std::uint64_t default_seed)
+    : spec_(spec), seed_(default_seed) {
   seed_ = get_uint("seed", default_seed);
 }
 
@@ -247,14 +239,13 @@ void StrategyRegistry::add(const std::string& canonical,
 }
 
 std::unique_ptr<ShardingStrategy> StrategyRegistry::make(
-    std::string_view spec, std::uint64_t default_seed,
-    std::size_t default_threads) const {
-  return make_build(spec, default_seed, default_threads).strategy;
+    std::string_view spec, std::uint64_t default_seed) const {
+  return make_build(spec, default_seed).strategy;
 }
 
 StrategyBuild StrategyRegistry::make_build(
     std::string_view spec, std::uint64_t default_seed,
-    std::size_t default_threads) const {
+    std::size_t /*default_threads*/) const {
   const StrategySpec parsed = parse_strategy_spec(spec);
   Factory factory;
   {
@@ -268,7 +259,7 @@ StrategyBuild StrategyRegistry::make_build(
     }
     factory = it->second;
   }
-  SpecReader reader(parsed, default_seed, default_threads);
+  SpecReader reader(parsed, default_seed);
   StrategyBuild build;
   build.strategy = factory(reader);
   ETHSHARD_CHECK_MSG(build.strategy != nullptr, "strategy factory for '" +

@@ -48,14 +48,11 @@ StrategySpec parse_strategy_spec(std::string_view spec);
 class SpecReader {
  public:
   /// `default_seed` seeds randomized strategy components unless the spec
-  /// carries an explicit "seed" key; `default_threads` is the partitioner
-  /// thread count a "threads" key falls back to (1 = serial).
-  SpecReader(const StrategySpec& spec, std::uint64_t default_seed,
-             std::size_t default_threads = 1);
+  /// carries an explicit "seed" key.
+  SpecReader(const StrategySpec& spec, std::uint64_t default_seed);
 
   const std::string& name() const { return spec_.name; }
   std::uint64_t seed() const { return seed_; }
-  std::size_t default_threads() const { return default_threads_; }
 
   /// Getters return `fallback` when the key is absent and throw
   /// util::CheckFailure (naming the key) when the value does not parse.
@@ -73,7 +70,6 @@ class SpecReader {
 
   const StrategySpec& spec_;
   std::uint64_t seed_;
-  std::size_t default_threads_;
   std::set<std::string> consumed_;
 };
 
@@ -103,17 +99,14 @@ class StrategyRegistry {
 
   /// Builds a configured strategy from a spec string. Throws
   /// util::CheckFailure on an unknown name (listing the known ones) or a
-  /// malformed/unknown parameter (naming the key). `default_threads` is
-  /// the partitioner thread count used when the spec has no "threads="
-  /// key (1 = serial; MLKP-backed strategies produce bit-identical
-  /// partitions for every thread count, so this only changes speed).
-  std::unique_ptr<ShardingStrategy> make(
-      std::string_view spec, std::uint64_t default_seed = 1,
-      std::size_t default_threads = 1) const;
+  /// malformed/unknown parameter (naming the key).
+  std::unique_ptr<ShardingStrategy> make(std::string_view spec,
+                                         std::uint64_t default_seed = 1) const;
 
   /// Like make(), additionally returning the simulator-level settings
   /// the spec carried (see StrategyBuild). make() delegates here and
   /// discards them, so both entry points accept the same spec grammar.
+  /// Nothing reads default_threads; dropped with its argument in perfbench/.
   StrategyBuild make_build(std::string_view spec,
                            std::uint64_t default_seed = 1,
                            std::size_t default_threads = 1) const;

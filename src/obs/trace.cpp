@@ -117,17 +117,6 @@ void set_current_thread_lane(const char* name) {
   TraceBuffer::global().set_thread_lane(thread_ordinal(), name);
 }
 
-void record_span(const char* path, double start_ms, double end_ms) {
-  if (!trace_enabled()) return;
-  SpanRecord span;
-  span.path = path;
-  span.start_ms = start_ms;
-  span.duration_ms = end_ms - start_ms;
-  span.thread = thread_ordinal();
-  span.depth = static_cast<std::uint32_t>(span_stack().size());
-  TraceBuffer::global().record(std::move(span));
-}
-
 ScopedSpan::ScopedSpan(const char* name) : active_(trace_enabled()) {
   if (!active_) return;
   span_stack().push_back(name);

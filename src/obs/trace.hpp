@@ -110,10 +110,4 @@ std::uint32_t current_thread_ordinal();
 /// when tracing is disabled. `name` is copied.
 void set_current_thread_lane(const char* name);
 
-/// Records an already-timed interval on the calling thread's lane —
-/// for retroactive spans (a stall measured as now - wait) where RAII
-/// scoping is impossible. `path` is recorded verbatim (no nesting under
-/// the thread's open ScopedSpans). No-op when tracing is disabled.
-void record_span(const char* path, double start_ms, double end_ms);
-
 }  // namespace ethshard::obs

@@ -1,95 +1,177 @@
 #include "partition/coarsen.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "obs/obs.hpp"
-#include "partition/parallel_contract.hpp"
-#include "partition/parallel_match.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace ethshard::partition {
 
-CoarseLevel coarsen_once(const graph::Graph& g, MatchingScheme scheme,
-                         util::Rng& rng) {
+namespace {
+
+constexpr graph::Vertex kNone = graph::Graph::kInvalid;
+
+// More rounds sharpen the matching but each costs a full sweep; the
+// stall check in coarsen() absorbs whatever residue is left.
+constexpr int kMaxRounds = 8;
+
+/// Symmetric per-edge score: both endpoints compute the same value for
+/// the shared edge, which (with the index tie-break) rules out preference
+/// cycles longer than 2.
+std::uint64_t edge_hash(std::uint64_t salt, int round, graph::Vertex u,
+                        graph::Vertex v) {
+  const graph::Vertex lo = u < v ? u : v;
+  const graph::Vertex hi = u < v ? v : u;
+  std::uint64_t h = salt ^ util::mix64(static_cast<std::uint64_t>(round) + 1);
+  h = util::hash_combine(h, lo);
+  h = util::hash_combine(h, hi);
+  // hash_combine's seed diffusion is too weak to push a low-bit salt
+  // difference into the high bits that decide `<` comparisons; the
+  // finalizer restores full avalanche so every salt reshuffles ties.
+  return util::mix64(h);
+}
+
+}  // namespace
+
+std::vector<graph::Vertex> match_vertices(const graph::Graph& g,
+                                          MatchingScheme scheme,
+                                          std::uint64_t salt) {
   ETHSHARD_CHECK(!g.directed());
   const std::uint64_t n = g.num_vertices();
+  std::vector<graph::Vertex> match(n, kNone);
+  if (n == 0) return match;
 
-  constexpr graph::Vertex kUnmatched = graph::Graph::kInvalid;
-  std::vector<graph::Vertex> match(n, kUnmatched);
+  std::vector<graph::Vertex> pref(n);
+  std::vector<graph::Vertex> claim(n);
+  std::uint64_t rounds = 0;
+  std::uint64_t total_proposals = 0;
+  std::uint64_t total_paired = 0;
 
-  std::vector<graph::Vertex> order(n);
-  for (graph::Vertex v = 0; v < n; ++v) order[v] = v;
-  rng.shuffle(order);
-
-  for (graph::Vertex v : order) {
-    if (match[v] != kUnmatched) continue;
-    graph::Vertex partner = v;  // default: singleton
-    if (scheme == MatchingScheme::kHeavyEdge) {
-      graph::Weight best = 0;
+  for (int round = 0; round < kMaxRounds; ++round) {
+    // Preferences, a pure function of the round-start state.
+    std::uint64_t proposals = 0;
+    for (graph::Vertex v = 0; v < n; ++v) {
+      pref[v] = kNone;
+      claim[v] = kNone;
+      if (match[v] != kNone) continue;
+      graph::Vertex best = kNone;
+      graph::Weight best_w = 0;
+      std::uint64_t best_h = 0;
       for (const graph::Arc& a : g.neighbors(v)) {
-        if (match[a.to] != kUnmatched || a.to == v) continue;
-        if (a.weight > best) {
-          best = a.weight;
-          partner = a.to;
+        if (a.to == v || match[a.to] != kNone) continue;
+        const graph::Weight w =
+            scheme == MatchingScheme::kHeavyEdge ? a.weight : 1;
+        const std::uint64_t h = edge_hash(salt, round, v, a.to);
+        const bool better =
+            best == kNone || w > best_w ||
+            (w == best_w && (h < best_h || (h == best_h && a.to < best)));
+        if (better) {
+          best = a.to;
+          best_w = w;
+          best_h = h;
         }
       }
-    } else {
-      // Reservoir-sample one unmatched neighbour.
-      std::uint64_t seen = 0;
-      for (const graph::Arc& a : g.neighbors(v)) {
-        if (match[a.to] != kUnmatched || a.to == v) continue;
-        ++seen;
-        if (rng.uniform(seen) == 0) partner = a.to;
+      pref[v] = best;
+      if (best != kNone) ++proposals;
+    }
+    if (proposals == 0) break;
+    ++rounds;
+    total_proposals += proposals;
+
+    // Claims: the lowest-index proposer wins each target.
+    for (graph::Vertex v = 0; v < n; ++v)
+      if (pref[v] != kNone) claim[pref[v]] = std::min(claim[pref[v]], v);
+
+    // Pair formation. (v, u=pref[v]) pairs iff v won u's claim and either
+    // the claims are mutual (the smaller index writes) or u's own proposal
+    // lost (second chance; u pairs nowhere else, so each vertex is written
+    // at most once).
+    std::uint64_t paired = 0;
+    for (graph::Vertex v = 0; v < n; ++v) {
+      const graph::Vertex u = pref[v];
+      if (u == kNone || claim[u] != v) continue;
+      bool take = false;
+      if (claim[v] == u) {
+        take = v < u;  // mutual: one writer
+      } else {
+        const graph::Vertex w = pref[u];
+        take = w == kNone || claim[w] != u;
+      }
+      if (take) {
+        match[v] = u;
+        match[u] = v;
+        ++paired;
       }
     }
-    match[v] = partner;
-    match[partner] = v;  // self-match when partner == v
+    total_paired += paired;
+    if (paired == 0) break;
   }
 
-  // Number coarse vertices: the smaller endpoint of each pair owns the id.
-  std::vector<graph::Vertex> fine_to_coarse(n, kUnmatched);
-  graph::Vertex next = 0;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (fine_to_coarse[v] != kUnmatched) continue;
-    fine_to_coarse[v] = next;
-    fine_to_coarse[match[v]] = next;  // no-op for singletons
-    ++next;
-  }
-  const std::uint64_t cn = next;
+  ETHSHARD_OBS_COUNT("pmatch/invocations", 1);
+  ETHSHARD_OBS_COUNT("pmatch/rounds", rounds);
+  ETHSHARD_OBS_COUNT("pmatch/proposals", total_proposals);
+  ETHSHARD_OBS_COUNT("pmatch/paired", 2 * total_paired);  // vertices matched
+  ETHSHARD_OBS_HIST("pmatch/vertices", n);
 
-  // Aggregate coarse vertex weights and edges.
-  std::vector<graph::Weight> cvwgt(cn, 0);
+  // Leftovers coarsen as singletons.
   for (graph::Vertex v = 0; v < n; ++v)
-    cvwgt[fine_to_coarse[v]] += g.vertex_weight(v);
+    if (match[v] == kNone) match[v] = v;
+  return match;
+}
 
-  std::unordered_map<std::uint64_t, graph::Weight> cedges;
+CoarseLevel contract(const graph::Graph& g,
+                     const std::vector<graph::Vertex>& match) {
+  ETHSHARD_CHECK(!g.directed());
+  const std::uint64_t n = g.num_vertices();
+  ETHSHARD_CHECK(match.size() == n);
+
+  // The smaller endpoint of each pair owns the coarse id; ids are dense
+  // in owner order. A non-owner's partner is smaller, so already numbered.
+  std::vector<graph::Vertex> fine_to_coarse(n);
+  std::vector<graph::Vertex> owners;
   for (graph::Vertex v = 0; v < n; ++v) {
-    const graph::Vertex cu = fine_to_coarse[v];
-    for (const graph::Arc& a : g.neighbors(v)) {
-      if (a.to <= v) continue;  // each undirected edge once
-      const graph::Vertex cv = fine_to_coarse[a.to];
-      if (cu == cv) continue;  // contracted away
-      const graph::Vertex lo = std::min(cu, cv);
-      const graph::Vertex hi = std::max(cu, cv);
-      cedges[(lo << 32) | hi] += a.weight;
+    if (v <= match[v]) {
+      fine_to_coarse[v] = owners.size();
+      owners.push_back(v);
+    } else {
+      fine_to_coarse[v] = fine_to_coarse[match[v]];
     }
   }
+  const std::uint64_t cn = owners.size();
 
-  // Build CSR for the coarse graph.
-  std::vector<std::uint64_t> deg(cn, 0);
-  for (const auto& [key, w] : cedges) {
-    ++deg[key >> 32];
-    ++deg[key & 0xFFFFFFFFULL];
-  }
+  std::vector<graph::Weight> cvwgt(cn);
   std::vector<std::uint64_t> xadj(cn + 1, 0);
-  for (std::uint64_t v = 0; v < cn; ++v) xadj[v + 1] = xadj[v] + deg[v];
-  std::vector<graph::Arc> adj(xadj[cn]);
-  std::vector<std::uint64_t> fill = xadj;
-  for (const auto& [key, w] : cedges) {
-    const graph::Vertex lo = key >> 32;
-    const graph::Vertex hi = key & 0xFFFFFFFFULL;
-    adj[fill[lo]++] = graph::Arc{hi, w};
-    adj[fill[hi]++] = graph::Arc{lo, w};
+  std::vector<graph::Arc> adj;
+  adj.reserve(2 * g.num_edges());  // contraction never adds arcs
+  std::vector<graph::Arc> scratch;
+  for (std::uint64_t c = 0; c < cn; ++c) {
+    const graph::Vertex v = owners[c];
+    const graph::Vertex u = match[v];
+    cvwgt[c] = g.vertex_weight(v) + (u != v ? g.vertex_weight(u) : 0);
+
+    // Gather both constituents' arcs, then merge them per coarse target.
+    scratch.clear();
+    auto gather = [&](graph::Vertex x) {
+      for (const graph::Arc& a : g.neighbors(x)) {
+        const graph::Vertex cv = fine_to_coarse[a.to];
+        if (cv == c) continue;  // intra-pair or self-loop: vanishes
+        scratch.push_back(graph::Arc{cv, a.weight});
+      }
+    };
+    gather(v);
+    if (u != v) gather(u);
+    std::sort(scratch.begin(), scratch.end(),
+              [](const graph::Arc& a, const graph::Arc& b) {
+                return a.to < b.to;
+              });
+    for (std::size_t i = 0; i < scratch.size();) {
+      graph::Arc merged = scratch[i];
+      for (++i; i < scratch.size() && scratch[i].to == merged.to; ++i)
+        merged.weight += scratch[i].weight;
+      adj.push_back(merged);
+    }
+    xadj[c + 1] = adj.size();
   }
 
   CoarseLevel level;
@@ -105,45 +187,25 @@ std::vector<CoarseLevel> coarsen(const graph::Graph& g,
   std::vector<CoarseLevel> levels;
   const graph::Graph* cur = &g;
   while (cur->num_vertices() > target_vertices) {
-    CoarseLevel next = coarsen_once(*cur, scheme, rng);
-    // Matching stalls (e.g. star graphs) → stop rather than loop forever.
-    if (next.graph.num_vertices() >
-        static_cast<std::uint64_t>(0.95 * static_cast<double>(
-                                              cur->num_vertices())))
-      break;
-    levels.push_back(std::move(next));
-    cur = &levels.back().graph;
-  }
-  return levels;
-}
-
-std::vector<CoarseLevel> coarsen_mt(const graph::Graph& g,
-                                    std::uint64_t target_vertices,
-                                    MatchingScheme scheme, util::Rng& rng,
-                                    std::size_t threads) {
-  std::vector<CoarseLevel> levels;
-  const graph::Graph* cur = &g;
-  while (cur->num_vertices() > target_vertices) {
     ETHSHARD_OBS_SPAN("level");
-    const std::uint64_t fine_n = cur->num_vertices();
-    ETHSHARD_OBS_HIST("mlkp/level_vertices", fine_n);
+    ETHSHARD_OBS_HIST("mlkp/level_vertices", cur->num_vertices());
     const std::uint64_t salt = rng.next();
     std::vector<graph::Vertex> match;
     {
       ETHSHARD_OBS_TIMER("mlkp/match_ms");
       ETHSHARD_OBS_SPAN("match");
-      match = parallel_matching(*cur, scheme, salt, threads);
+      match = match_vertices(*cur, scheme, salt);
     }
     CoarseLevel next;
     {
       ETHSHARD_OBS_TIMER("mlkp/contract_ms");
       ETHSHARD_OBS_SPAN("contract");
-      next = parallel_contract(*cur, match, threads);
+      next = contract(*cur, match);
     }
     // Shrink factor of this level; a value near 1 means matching stalled.
     ETHSHARD_OBS_HIST("mlkp/level_shrink",
                       static_cast<double>(next.graph.num_vertices()) /
-                          static_cast<double>(fine_n));
+                          static_cast<double>(cur->num_vertices()));
     // Matching stalls (e.g. star graphs) → stop rather than loop forever.
     if (next.graph.num_vertices() >
         static_cast<std::uint64_t>(0.95 * static_cast<double>(

@@ -5,6 +5,22 @@
 // contract them, producing a hierarchy of progressively smaller graphs
 // that preserve the cut structure (contracted edge weights accumulate, so
 // a cut in a coarse graph has exactly the same weight in the fine graph).
+//
+// Matching is a round-based handshake. Each round:
+//
+//   1. every unmatched vertex v picks its preferred unmatched neighbour
+//      pref[v] from the round-start state — heaviest incident edge first,
+//      ties broken by a salted symmetric edge hash and then by the smaller
+//      vertex index (so both endpoints rank the shared edge identically);
+//   2. each preferred vertex is claimed by its lowest-index proposer;
+//   3. pairs form from mutually-claiming vertices, plus claim winners
+//      whose target's own proposal failed (a second chance that keeps the
+//      matching near-maximal without conflicts).
+//
+// Because preferences follow a shared total order on edges (weight desc,
+// hash asc, index asc), the preference graph has no cycles longer than 2,
+// so at least one pair forms whenever any proposal exists and the round
+// loop terminates.
 #pragma once
 
 #include <cstdint>
@@ -28,29 +44,30 @@ struct CoarseLevel {
   std::vector<graph::Vertex> fine_to_coarse;
 };
 
-/// Matches and contracts once. Unmatched vertices survive as singletons.
-/// Coarse vertex weights are sums of their constituents; parallel coarse
-/// edges merge with summed weights; intra-pair edges vanish.
-/// Precondition: g undirected.
-CoarseLevel coarsen_once(const graph::Graph& g, MatchingScheme scheme,
-                         util::Rng& rng);
+/// Computes a matching of `g` (undirected, no self-loop partners):
+/// match[v] == u and match[u] == v for a matched pair, match[v] == v for
+/// a singleton. `salt` randomizes tie-breaks between equal-weight edges
+/// (coarsen draws one per level). Deterministic for fixed (g, scheme,
+/// salt).
+std::vector<graph::Vertex> match_vertices(const graph::Graph& g,
+                                          MatchingScheme scheme,
+                                          std::uint64_t salt);
+
+/// Contracts `g` along `match` (an involution with match[v] == v for
+/// singletons, as match_vertices returns). Each pair or singleton becomes
+/// one coarse vertex, numbered in order of its smaller endpoint; coarse
+/// vertex weights are constituent sums; parallel coarse edges merge with
+/// summed weights; intra-pair edges vanish.
+CoarseLevel contract(const graph::Graph& g,
+                     const std::vector<graph::Vertex>& match);
 
 /// Builds the full hierarchy, stopping when the coarsest graph has at most
-/// `target_vertices` vertices or a round shrinks the graph by less than
-/// ~5% (matching has stalled, e.g. on a star graph).
+/// `target_vertices` vertices or a level shrinks the graph by less than
+/// ~5% (matching has stalled, e.g. on a star graph). Draws exactly one
+/// tie-break salt from `rng` per level attempt.
 /// levels.front() is one step coarser than g; levels.back() is coarsest.
 std::vector<CoarseLevel> coarsen(const graph::Graph& g,
                                  std::uint64_t target_vertices,
                                  MatchingScheme scheme, util::Rng& rng);
-
-/// Deterministic parallel coarsening (mt-MLKP): parallel_matching +
-/// parallel_contract per level, with the same target/stall stopping rule
-/// as `coarsen`. Draws exactly one tie-break salt from `rng` per level
-/// attempt, so the RNG stream advance — like the hierarchy itself — is
-/// bit-identical for every `threads` value (0 = hardware concurrency).
-std::vector<CoarseLevel> coarsen_mt(const graph::Graph& g,
-                                    std::uint64_t target_vertices,
-                                    MatchingScheme scheme, util::Rng& rng,
-                                    std::size_t threads);
 
 }  // namespace ethshard::partition

@@ -7,100 +7,11 @@
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace ethshard::partition {
 
 graph::Weight kway_refine(const graph::Graph& g, Partition& p,
-                          const KwayRefineConfig& cfg, util::Rng& rng) {
-  ETHSHARD_CHECK(!g.directed());
-  ETHSHARD_CHECK(g.num_vertices() == p.size());
-  const std::uint64_t n = g.num_vertices();
-  const std::uint32_t k = p.k();
-  if (n == 0 || k <= 1) return edge_cut_weight(g, p);
-
-  std::vector<graph::Weight> weight = p.shard_weights(g);
-  std::vector<std::uint64_t> count = p.shard_sizes();
-
-  graph::Weight max_vwgt = 0;
-  for (graph::Vertex v = 0; v < n; ++v)
-    max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
-  const std::uint64_t cap = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(
-          std::ceil(static_cast<double>(g.total_vertex_weight()) /
-                    static_cast<double>(k) * (1.0 + cfg.imbalance))),
-      max_vwgt);
-
-  std::vector<graph::Vertex> order(n);
-  for (graph::Vertex v = 0; v < n; ++v) order[v] = v;
-
-  // Scratch: connectivity of the current vertex to each shard. Reset lazily
-  // with a version stamp to avoid an O(k) clear per vertex.
-  std::vector<graph::Weight> conn(k, 0);
-  std::vector<std::uint64_t> conn_stamp(k, 0);
-  std::uint64_t stamp = 0;
-
-  for (int pass = 0; pass < cfg.max_passes; ++pass) {
-    rng.shuffle(order);
-    std::uint64_t moved = 0;
-
-    for (graph::Vertex v : order) {
-      const ShardId cur = p.shard_of(v);
-      const graph::Weight wv = g.vertex_weight(v);
-      if (count[cur] <= 1) continue;  // never empty a shard
-
-      ++stamp;
-      bool boundary = false;
-      for (const graph::Arc& a : g.neighbors(v)) {
-        const ShardId s = p.shard_of(a.to);
-        if (conn_stamp[s] != stamp) {
-          conn_stamp[s] = stamp;
-          conn[s] = 0;
-        }
-        conn[s] += a.weight;
-        if (s != cur) boundary = true;
-      }
-      if (!boundary) continue;
-
-      const graph::Weight conn_cur =
-          conn_stamp[cur] == stamp ? conn[cur] : 0;
-
-      ShardId best = cur;
-      std::int64_t best_gain = 0;
-      std::uint64_t best_weight = weight[cur];
-      for (const graph::Arc& a : g.neighbors(v)) {
-        const ShardId t = p.shard_of(a.to);
-        if (t == cur) continue;
-        if (weight[t] + wv > cap) continue;
-        const std::int64_t gain = static_cast<std::int64_t>(conn[t]) -
-                                  static_cast<std::int64_t>(conn_cur);
-        const bool better =
-            gain > best_gain ||
-            (cfg.balance_moves && gain == best_gain &&
-             weight[t] + wv < best_weight && weight[t] + wv < weight[cur]);
-        if (better) {
-          best = t;
-          best_gain = gain;
-          best_weight = weight[t] + wv;
-        }
-      }
-      if (best == cur) continue;
-
-      p.assign(v, best);
-      weight[cur] -= wv;
-      weight[best] += wv;
-      --count[cur];
-      ++count[best];
-      ++moved;
-    }
-    if (moved == 0) break;
-  }
-  return edge_cut_weight(g, p);
-}
-
-graph::Weight kway_refine_mt(const graph::Graph& g, Partition& p,
-                             const KwayRefineConfig& cfg,
-                             std::size_t threads) {
+                          const KwayRefineConfig& cfg) {
   ETHSHARD_CHECK(!g.directed());
   ETHSHARD_CHECK(g.num_vertices() == p.size());
   const std::uint64_t n = g.num_vertices();
@@ -123,120 +34,88 @@ graph::Weight kway_refine_mt(const graph::Graph& g, Partition& p,
                     static_cast<double>(k) * (1.0 + cfg.imbalance))),
       max_vwgt);
 
-  // Fixed grain: the chunk decomposition — and hence each per-chunk
-  // proposal buffer — depends only on n, never on the thread count.
-  constexpr std::size_t kGrain = 1024;
-  const std::size_t chunks = util::chunk_count(n, kGrain);
-  std::vector<std::vector<std::pair<graph::Vertex, ShardId>>> proposals(
-      chunks);
-
-  // Serial-apply scratch: connectivity of the current vertex to each
-  // shard, reset lazily with a version stamp.
+  // Connectivity of one vertex to each shard, reset lazily with a version
+  // stamp to avoid an O(k) clear per vertex.
   std::vector<graph::Weight> conn(k, 0);
   std::vector<std::uint64_t> conn_stamp(k, 0);
   std::uint64_t stamp = 0;
+  // Fills conn for v; returns whether v has a neighbour outside `cur`.
+  auto tally = [&](graph::Vertex v, ShardId cur) {
+    ++stamp;
+    bool boundary = false;
+    for (const graph::Arc& a : g.neighbors(v)) {
+      const ShardId s = p.shard_of(a.to);
+      if (conn_stamp[s] != stamp) {
+        conn_stamp[s] = stamp;
+        conn[s] = 0;
+      }
+      conn[s] += a.weight;
+      if (s != cur) boundary = true;
+    }
+    return boundary;
+  };
+  auto conn_to = [&](ShardId s) {
+    return conn_stamp[s] == stamp ? conn[s] : graph::Weight{0};
+  };
 
+  std::vector<std::pair<graph::Vertex, ShardId>> proposals;
   for (int pass = 0; pass < cfg.max_passes; ++pass) {
     // Proposal phase: against the pass-start assignment and shard state.
-    util::parallel_for_chunked(
-        n, kGrain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          std::vector<std::pair<graph::Vertex, ShardId>>& out =
-              proposals[chunk];
-          out.clear();
-          std::vector<graph::Weight> local_conn(k, 0);
-          std::vector<std::uint32_t> local_stamp(k, 0);
-          std::uint32_t local_tick = 0;
-          for (graph::Vertex v = begin; v < end; ++v) {
-            const ShardId cur = p.shard_of(v);
-            const graph::Weight wv = g.vertex_weight(v);
-            if (count[cur] <= 1) continue;  // never empty a shard
+    proposals.clear();
+    for (graph::Vertex v = 0; v < n; ++v) {
+      const ShardId cur = p.shard_of(v);
+      const graph::Weight wv = g.vertex_weight(v);
+      if (count[cur] <= 1) continue;  // never empty a shard
+      if (!tally(v, cur)) continue;
 
-            ++local_tick;
-            bool boundary = false;
-            for (const graph::Arc& a : g.neighbors(v)) {
-              const ShardId s = p.shard_of(a.to);
-              if (local_stamp[s] != local_tick) {
-                local_stamp[s] = local_tick;
-                local_conn[s] = 0;
-              }
-              local_conn[s] += a.weight;
-              if (s != cur) boundary = true;
-            }
-            if (!boundary) continue;
-
-            const graph::Weight conn_cur =
-                local_stamp[cur] == local_tick ? local_conn[cur] : 0;
-
-            ShardId best = cur;
-            std::int64_t best_gain = 0;
-            std::uint64_t best_weight = weight[cur];
-            for (const graph::Arc& a : g.neighbors(v)) {
-              const ShardId t = p.shard_of(a.to);
-              if (t == cur) continue;
-              if (weight[t] + wv > cap) continue;
-              const std::int64_t gain =
-                  static_cast<std::int64_t>(local_conn[t]) -
-                  static_cast<std::int64_t>(conn_cur);
-              const bool better =
-                  gain > best_gain ||
-                  (cfg.balance_moves && gain == best_gain &&
-                   weight[t] + wv < best_weight &&
-                   weight[t] + wv < weight[cur]);
-              if (better) {
-                best = t;
-                best_gain = gain;
-                best_weight = weight[t] + wv;
-              }
-            }
-            if (best != cur) out.emplace_back(v, best);
-          }
-        },
-        threads);
-
-    // Apply phase: serial, in ascending vertex order (chunk order ==
-    // index order), revalidating each move against the live state.
-    std::uint64_t moved = 0;
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      for (const auto& [v, t] : proposals[chunk]) {
-        const ShardId cur = p.shard_of(v);
-        if (cur == t) continue;
-        const graph::Weight wv = g.vertex_weight(v);
-        if (count[cur] <= 1) continue;
+      const graph::Weight conn_cur = conn_to(cur);
+      ShardId best = cur;
+      std::int64_t best_gain = 0;
+      std::uint64_t best_weight = weight[cur];
+      for (const graph::Arc& a : g.neighbors(v)) {
+        const ShardId t = p.shard_of(a.to);
+        if (t == cur) continue;
         if (weight[t] + wv > cap) continue;
-
-        ++stamp;
-        for (const graph::Arc& a : g.neighbors(v)) {
-          const ShardId s = p.shard_of(a.to);
-          if (conn_stamp[s] != stamp) {
-            conn_stamp[s] = stamp;
-            conn[s] = 0;
-          }
-          conn[s] += a.weight;
-        }
-        const graph::Weight conn_cur =
-            conn_stamp[cur] == stamp ? conn[cur] : 0;
-        const graph::Weight conn_t = conn_stamp[t] == stamp ? conn[t] : 0;
-        const std::int64_t gain = static_cast<std::int64_t>(conn_t) -
+        const std::int64_t gain = static_cast<std::int64_t>(conn[t]) -
                                   static_cast<std::int64_t>(conn_cur);
-        const bool accept =
-            gain > 0 || (cfg.balance_moves && gain == 0 &&
-                         weight[t] + wv < weight[cur]);
-        if (!accept) continue;
-
-        p.assign(v, t);
-        weight[cur] -= wv;
-        weight[t] += wv;
-        --count[cur];
-        ++count[t];
-        ++moved;
+        const bool better =
+            gain > best_gain ||
+            (cfg.balance_moves && gain == best_gain &&
+             weight[t] + wv < best_weight && weight[t] + wv < weight[cur]);
+        if (better) {
+          best = t;
+          best_gain = gain;
+          best_weight = weight[t] + wv;
+        }
       }
+      if (best != cur) proposals.emplace_back(v, best);
+    }
+
+    // Apply phase: in ascending vertex order, revalidating each move
+    // against the live state.
+    std::uint64_t moved = 0;
+    for (const auto& [v, t] : proposals) {
+      const ShardId cur = p.shard_of(v);
+      const graph::Weight wv = g.vertex_weight(v);
+      if (count[cur] <= 1) continue;
+      if (weight[t] + wv > cap) continue;
+
+      tally(v, cur);
+      const std::int64_t gain = static_cast<std::int64_t>(conn_to(t)) -
+                                static_cast<std::int64_t>(conn_to(cur));
+      const bool accept = gain > 0 || (cfg.balance_moves && gain == 0 &&
+                                       weight[t] + wv < weight[cur]);
+      if (!accept) continue;
+
+      p.assign(v, t);
+      weight[cur] -= wv;
+      weight[t] += wv;
+      --count[cur];
+      ++count[t];
+      ++moved;
     }
     ETHSHARD_OBS_COUNT("kway/passes", 1);
-    std::uint64_t proposed = 0;
-    for (const auto& chunk_proposals : proposals)
-      proposed += chunk_proposals.size();
-    ETHSHARD_OBS_COUNT("kway/proposed", proposed);
+    ETHSHARD_OBS_COUNT("kway/proposed", proposals.size());
     ETHSHARD_OBS_COUNT("kway/applied", moved);
     if (moved == 0) break;
   }

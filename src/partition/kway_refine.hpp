@@ -9,7 +9,6 @@
 
 #include "graph/graph.hpp"
 #include "partition/types.hpp"
-#include "util/rng.hpp"
 
 namespace ethshard::partition {
 
@@ -24,19 +23,12 @@ struct KwayRefineConfig {
 };
 
 /// Refines a complete k-way partition in place; returns the resulting
-/// edge-cut weight. Preconditions: g undirected; p complete;
-/// p.size() == g.num_vertices().
+/// edge-cut weight. Each pass first proposes a best move for every
+/// boundary vertex against the pass-start state, then applies the
+/// proposals in ascending vertex order with gains recomputed against the
+/// live state. The result depends only on (g, p, cfg). Preconditions: g
+/// undirected; p complete; p.size() == g.num_vertices().
 graph::Weight kway_refine(const graph::Graph& g, Partition& p,
-                          const KwayRefineConfig& cfg, util::Rng& rng);
-
-/// Deterministic parallel variant (mt-MLKP): each pass proposes boundary
-/// moves in parallel against the pass-start state (fixed-grain chunks, so
-/// the proposal list is thread-count independent), then applies them
-/// serially in ascending vertex order with gains recomputed against the
-/// live state — same acceptance rules as `kway_refine`, but no RNG: the
-/// result depends only on (g, p, cfg), never on `threads` (0 = hardware).
-graph::Weight kway_refine_mt(const graph::Graph& g, Partition& p,
-                             const KwayRefineConfig& cfg,
-                             std::size_t threads);
+                          const KwayRefineConfig& cfg);
 
 }  // namespace ethshard::partition

@@ -5,7 +5,6 @@
 #include "obs/obs.hpp"
 #include "partition/recursive_bisection.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace ethshard::partition {
 
@@ -29,9 +28,6 @@ Partition MlkpPartitioner::partition(const graph::Graph& input,
   ETHSHARD_OBS_SPAN("mlkp");
   ETHSHARD_OBS_COUNT("mlkp/invocations", 1);
   ETHSHARD_OBS_COUNT("mlkp/vertices", n);
-  const std::size_t threads =
-      cfg_.threads == 0 ? util::default_thread_count() : cfg_.threads;
-  ETHSHARD_OBS_GAUGE("mlkp/threads", static_cast<double>(threads));
 
   util::Rng rng(cfg_.seed);
   const std::uint64_t coarsen_to =
@@ -43,7 +39,7 @@ Partition MlkpPartitioner::partition(const graph::Graph& input,
   {
     ETHSHARD_OBS_TIMER("mlkp/coarsen_ms");
     ETHSHARD_OBS_SPAN("coarsen");
-    levels = coarsen_mt(g, coarsen_to, cfg_.matching, rng, threads);
+    levels = coarsen(g, coarsen_to, cfg_.matching, rng);
   }
 
   const graph::Graph& coarsest = levels.empty() ? g : levels.back().graph;
@@ -57,12 +53,10 @@ Partition MlkpPartitioner::partition(const graph::Graph& input,
     ETHSHARD_OBS_SPAN("initial");
     part = recursive_bisection_ggg(coarsest, k, fm, cfg_.init_tries, rng);
     if (cfg_.refine && !levels.empty())
-      kway_refine_mt(coarsest, part, kcfg, threads);
+      kway_refine(coarsest, part, kcfg);
   }
 
   // Uncoarsen: project through the hierarchy, refining at each level.
-  // Projection writes disjoint slots per vertex, so a chunked sweep is
-  // race-free and (being a pure function of `part`) thread-invariant.
   {
     ETHSHARD_OBS_TIMER("mlkp/refine_ms");
     ETHSHARD_OBS_SPAN("refine");
@@ -72,19 +66,14 @@ Partition MlkpPartitioner::partition(const graph::Graph& input,
       Partition fine_part(finer.num_vertices(), k);
       {
         ETHSHARD_OBS_TIMER("mlkp/project_ms");
-        util::parallel_for_chunked(
-            finer.num_vertices(), 4096,
-            [&](std::size_t, std::size_t begin, std::size_t end) {
-              for (graph::Vertex v = begin; v < end; ++v)
-                fine_part.assign(v, part.shard_of(map[v]));
-            },
-            threads);
+        for (graph::Vertex v = 0; v < finer.num_vertices(); ++v)
+          fine_part.assign(v, part.shard_of(map[v]));
       }
       part = std::move(fine_part);
-      if (cfg_.refine) kway_refine_mt(finer, part, kcfg, threads);
+      if (cfg_.refine) kway_refine(finer, part, kcfg);
     }
 
-    if (levels.empty() && cfg_.refine) kway_refine_mt(g, part, kcfg, threads);
+    if (levels.empty() && cfg_.refine) kway_refine(g, part, kcfg);
   }
 
   ETHSHARD_CHECK(part.is_complete());

@@ -36,11 +36,6 @@ struct MlkpConfig {
   bool refine = true;
   /// RNG seed; same seed + same graph → same partition.
   std::uint64_t seed = 1;
-  /// Worker threads for the parallel phases (matching, contraction,
-  /// projection, k-way refinement): 1 = run them inline, 0 = hardware
-  /// concurrency. The resulting partition is bit-identical for every
-  /// value — mt-MLKP is deterministic by construction (see DESIGN.md).
-  std::size_t threads = 1;
 };
 
 class MlkpPartitioner final : public Partitioner {

@@ -83,8 +83,8 @@ StrategyRunReport run_strategy(const Scenario& scenario,
                                      static_cast<double>(util::kDay)));
   }
 
-  core::StrategyBuild build = core::StrategyRegistry::global().make_build(
-      spec, scenario.strategy_seed, options.default_threads);
+  core::StrategyBuild build =
+      core::StrategyRegistry::global().make_build(spec, scenario.strategy_seed);
 
   // The scenario's invariants, evaluated streamingly off the telemetry
   // consumer hook. Drift only checks at the golden's own scale — a

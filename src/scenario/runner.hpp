@@ -36,9 +36,6 @@ struct RunnerOptions {
   /// file parses — the CLI's --override flag. Same keys as the file
   /// grammar, so thresholds can be tightened from the command line.
   std::vector<std::pair<std::string, std::string>> overrides;
-  /// Partitioner threads handed to the strategy registry (1 = serial;
-  /// MLKP partitions are bit-identical across thread counts).
-  std::size_t default_threads = 1;
 };
 
 /// Replays one scenario against one strategy spec. Throws

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <mutex>
 
-#include "util/check.hpp"
-
 namespace ethshard::util {
 
 namespace {
@@ -40,8 +38,7 @@ void parallel_for(std::size_t count,
   threads = std::min(threads, count);
 
   // Telemetry never influences scheduling — workers pull from the same
-  // atomic cursor whether or not a hook table is installed, so recording
-  // cannot perturb deterministic (chunk-decomposed) callers.
+  // atomic cursor whether or not a hook table is installed.
   const ParallelTelemetryHooks* tel = parallel_telemetry();
 
   if (threads == 1) {
@@ -108,74 +105,6 @@ void parallel_for(std::size_t count,
     tel->add_count("pool/workers", threads);
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-std::size_t chunk_count(std::size_t count, std::size_t grain) {
-  ETHSHARD_CHECK(grain > 0);
-  return (count + grain - 1) / grain;
-}
-
-void parallel_for_chunked(
-    std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    std::size_t threads) {
-  const std::size_t chunks = chunk_count(count, grain);
-  parallel_for(
-      chunks,
-      [&](std::size_t c) {
-        const std::size_t begin = c * grain;
-        const std::size_t end = std::min(count, begin + grain);
-        fn(c, begin, end);
-      },
-      threads);
-}
-
-std::uint64_t exclusive_prefix_sum(std::span<std::uint64_t> values,
-                                   std::size_t threads) {
-  constexpr std::size_t kGrain = 1 << 14;
-  const std::size_t n = values.size();
-  if (n <= kGrain || threads == 1) {
-    std::uint64_t total = 0;
-    for (std::uint64_t& v : values) {
-      const std::uint64_t x = v;
-      v = total;
-      total += x;
-    }
-    return total;
-  }
-
-  const std::size_t chunks = chunk_count(n, kGrain);
-  std::vector<std::uint64_t> chunk_sums(chunks, 0);
-  parallel_for_chunked(
-      n, kGrain,
-      [&](std::size_t c, std::size_t begin, std::size_t end) {
-        std::uint64_t sum = 0;
-        for (std::size_t i = begin; i < end; ++i) sum += values[i];
-        chunk_sums[c] = sum;
-      },
-      threads);
-  const std::uint64_t total = exclusive_prefix_sum(chunk_sums, 1);
-  parallel_for_chunked(
-      n, kGrain,
-      [&](std::size_t c, std::size_t begin, std::size_t end) {
-        std::uint64_t running = chunk_sums[c];
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint64_t x = values[i];
-          values[i] = running;
-          running += x;
-        }
-      },
-      threads);
-  return total;
-}
-
-std::size_t cap_nested_threads(std::size_t requested, std::size_t outer) {
-  const std::size_t budget = default_thread_count();
-  if (outer == 0) outer = budget;
-  outer = std::max<std::size_t>(1, std::min(outer, budget));
-  const std::size_t per_caller = std::max<std::size_t>(1, budget / outer);
-  if (requested == 0) return per_caller;
-  return std::min(requested, per_caller);
 }
 
 }  // namespace ethshard::util

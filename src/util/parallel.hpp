@@ -4,12 +4,6 @@
 // grids); parallel_map fans them out over a fixed number of threads while
 // keeping results in input order. No work stealing, no dependencies —
 // just an atomic cursor over an index range.
-//
-// The chunked primitives below additionally support *deterministic*
-// parallel algorithms (the mt-MLKP partitioner): the decomposition into
-// chunks is a pure function of the problem size and the grain — never of
-// the thread count — so per-chunk results can be combined in chunk order
-// to give output that is bit-identical regardless of how many threads ran.
 #pragma once
 
 #include <atomic>
@@ -17,7 +11,6 @@
 #include <exception>
 #include <functional>
 #include <optional>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -55,54 +48,6 @@ const ParallelTelemetryHooks* parallel_telemetry();
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);
-
-/// Number of chunks parallel_for_chunked will use for `count` items at
-/// `grain` items per chunk: ceil(count / grain), independent of threads.
-std::size_t chunk_count(std::size_t count, std::size_t grain);
-
-/// Splits [0, count) into chunk_count(count, grain) contiguous ranges and
-/// applies fn(chunk_index, begin, end) to each, across `threads` workers.
-/// The decomposition depends only on (count, grain), so a per-chunk output
-/// buffer indexed by chunk_index, concatenated in chunk order, is
-/// identical for every thread count. Precondition: grain > 0.
-void parallel_for_chunked(
-    std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    std::size_t threads = 0);
-
-/// Deterministic parallel reduction: chunk_fn(begin, end) produces one
-/// partial per chunk; partials are combined with `combine` serially in
-/// chunk order (so even non-associative-in-practice combiners like
-/// floating-point addition give thread-count-independent results).
-template <typename T, typename ChunkFn, typename Combine>
-T parallel_reduce(std::size_t count, std::size_t grain, T init,
-                  ChunkFn&& chunk_fn, Combine&& combine,
-                  std::size_t threads = 0) {
-  const std::size_t chunks = chunk_count(count, grain);
-  std::vector<std::optional<T>> partials(chunks);
-  parallel_for_chunked(
-      count, grain,
-      [&](std::size_t c, std::size_t begin, std::size_t end) {
-        partials[c].emplace(chunk_fn(begin, end));
-      },
-      threads);
-  T acc = std::move(init);
-  for (std::optional<T>& p : partials) acc = combine(std::move(acc), *p);
-  return acc;
-}
-
-/// In-place exclusive prefix sum over `values`; returns the total (the
-/// inclusive sum of the original contents). values[i] becomes the sum of
-/// the original values[0..i). Deterministic and thread-count independent
-/// (chunk sums are scanned serially in chunk order).
-std::uint64_t exclusive_prefix_sum(std::span<std::uint64_t> values,
-                                   std::size_t threads = 0);
-
-/// Caps an inner (nested) parallelism request against `outer` concurrent
-/// callers so outer × inner never exceeds default_thread_count().
-/// `requested` == 0 means "use whatever budget is left"; `outer` == 0
-/// means the caller itself uses the full hardware budget. Never returns 0.
-std::size_t cap_nested_threads(std::size_t requested, std::size_t outer);
 
 /// Maps fn over inputs in parallel; results keep input order. R only
 /// needs to be movable — each worker constructs its result in place in a

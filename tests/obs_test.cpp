@@ -478,30 +478,15 @@ TEST_F(ObsTest, PoolWorkerSpansNestUnderTheirOwnThread) {
 
 // -------------------------------------------- trace snapshot + exporter
 
-TEST_F(ObsTest, ExplicitSpanApiRespectsTraceSwitch) {
-  // Off: records nothing.
-  obs::record_span("pipeline/apply", 1.0, 2.0);
-  EXPECT_EQ(obs::TraceBuffer::global().size(), 0u);
-
-  obs::set_trace_enabled(true);
-  obs::record_span("pipeline/apply", 1.0, 2.5);
-  const obs::TraceSnapshot trace =
-      obs::TraceBuffer::global().trace_snapshot();
-  ASSERT_EQ(trace.spans.size(), 1u);
-  EXPECT_EQ(trace.spans[0].path, "pipeline/apply");
-  EXPECT_DOUBLE_EQ(trace.spans[0].start_ms, 1.0);
-  EXPECT_DOUBLE_EQ(trace.spans[0].duration_ms, 1.5);
-}
-
 TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   obs::set_trace_enabled(true);
   obs::set_current_thread_lane("Stage B (apply+flush)");
   std::thread producer([] {
     obs::set_current_thread_lane("Stage A (aggregate)");
-    obs::record_span("pipeline/aggregate", 0.0, 1.0);
+    const obs::ScopedSpan span("aggregate");
   });
   producer.join();
-  obs::record_span("pipeline/apply", 1.0, 2.0);
+  { const obs::ScopedSpan span("apply"); }
 
   const obs::TraceSnapshot trace =
       obs::TraceBuffer::global().trace_snapshot();
@@ -512,7 +497,7 @@ TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   const obs::SpanRecord* agg = nullptr;
   const obs::SpanRecord* apply = nullptr;
   for (const obs::SpanRecord& s : trace.spans)
-    (s.path == "pipeline/aggregate" ? agg : apply) = &s;
+    (s.path == "aggregate" ? agg : apply) = &s;
   ASSERT_NE(agg, nullptr);
   ASSERT_NE(apply, nullptr);
   EXPECT_NE(agg->thread, apply->thread);
@@ -548,7 +533,9 @@ TEST_F(ObsTest, TraceJsonEventsAreTimestampSorted) {
 TEST_F(ObsTest, TruncatedTraceExportsInstantMarker) {
   obs::set_trace_enabled(true);
   obs::TraceBuffer::global().set_max_spans(2);
-  for (int i = 0; i < 5; ++i) obs::record_span("s", i, i + 1.0);
+  for (int i = 0; i < 5; ++i) {
+    const obs::ScopedSpan span("s");
+  }
   const obs::TraceSnapshot trace =
       obs::TraceBuffer::global().trace_snapshot();
   EXPECT_EQ(trace.spans.size(), 2u);

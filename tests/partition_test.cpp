@@ -3,11 +3,14 @@
 // multilevel partitioner, Kernighan–Lin and balanced label propagation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/obs.hpp"
 #include "partition/blp.hpp"
 #include "partition/coarsen.hpp"
 #include "partition/fm.hpp"
@@ -22,7 +25,9 @@
 #include "partition/spectral.hpp"
 #include "partition/streaming.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace ethshard::partition {
 namespace {
@@ -30,6 +35,43 @@ namespace {
 using graph::Graph;
 using graph::Vertex;
 using graph::Weight;
+
+/// One coarsening level: a matching and its contraction.
+CoarseLevel coarsen_one(const Graph& g, MatchingScheme scheme,
+                        std::uint64_t salt) {
+  return contract(g, match_vertices(g, scheme, salt));
+}
+
+Graph ba_graph() {
+  util::Rng rng(5);
+  return graph::make_barabasi_albert(1500, 3, rng);
+}
+
+Graph grid_graph() { return graph::make_grid(30, 30); }
+
+/// Symmetrized interaction graph of a tiny generated history — the same
+/// graph shape the simulator hands to METIS/R-METIS, scaled down.
+Graph history_graph() {
+  workload::GeneratorConfig cfg;
+  cfg.scale = 0.0005;
+  cfg.seed = 99;
+  const workload::History history =
+      workload::EthereumHistoryGenerator(cfg).generate();
+  graph::GraphBuilder builder;
+  for (const eth::Block& b : history.chain.blocks())
+    for (const eth::Transaction& tx : b.transactions)
+      for (const eth::Call& c : tx.calls) {
+        builder.ensure_vertices(std::max(c.from, c.to) + 1, 1);
+        builder.add_edge(c.from, c.to, 1);
+      }
+  return builder.build_undirected();
+}
+
+bool has_neighbor(const Graph& g, Vertex u, Vertex v) {
+  for (const graph::Arc& a : g.neighbors(u))
+    if (a.to == v) return true;
+  return false;
+}
 
 // ----------------------------------------------------------------- types
 
@@ -274,7 +316,8 @@ TEST(Fm, RejectsWrongK) {
 TEST(Coarsen, PreservesTotalVertexWeight) {
   util::Rng rng(17);
   const Graph g = graph::make_erdos_renyi(200, 0.05, rng);
-  const CoarseLevel level = coarsen_once(g, MatchingScheme::kHeavyEdge, rng);
+  const CoarseLevel level =
+      coarsen_one(g, MatchingScheme::kHeavyEdge, rng.next());
   EXPECT_EQ(level.graph.total_vertex_weight(), g.total_vertex_weight());
   EXPECT_LT(level.graph.num_vertices(), g.num_vertices());
   EXPECT_GE(level.graph.num_vertices(), g.num_vertices() / 2);
@@ -283,7 +326,8 @@ TEST(Coarsen, PreservesTotalVertexWeight) {
 TEST(Coarsen, MapCoversAllVertices) {
   util::Rng rng(19);
   const Graph g = graph::make_grid(10, 10);
-  const CoarseLevel level = coarsen_once(g, MatchingScheme::kHeavyEdge, rng);
+  const CoarseLevel level =
+      coarsen_one(g, MatchingScheme::kHeavyEdge, rng.next());
   ASSERT_EQ(level.fine_to_coarse.size(), g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v)
     EXPECT_LT(level.fine_to_coarse[v], level.graph.num_vertices());
@@ -294,7 +338,8 @@ TEST(Coarsen, CutWeightIsPreservedUnderProjection) {
   // exactly the same cut weight — the core multilevel invariant.
   util::Rng rng(23);
   const Graph g = graph::make_erdos_renyi(150, 0.08, rng);
-  const CoarseLevel level = coarsen_once(g, MatchingScheme::kHeavyEdge, rng);
+  const CoarseLevel level =
+      coarsen_one(g, MatchingScheme::kHeavyEdge, rng.next());
 
   HashPartitioner hp;
   const Partition coarse = hp.partition(level.graph, 3);
@@ -331,7 +376,7 @@ TEST(Coarsen, StallsGracefullyOnStar) {
 TEST(Coarsen, RandomMatchingAlsoShrinks) {
   util::Rng rng(37);
   const Graph g = graph::make_grid(20, 20);
-  const CoarseLevel level = coarsen_once(g, MatchingScheme::kRandom, rng);
+  const CoarseLevel level = coarsen_one(g, MatchingScheme::kRandom, rng.next());
   EXPECT_LT(level.graph.num_vertices(), g.num_vertices());
 }
 
@@ -344,10 +389,68 @@ TEST(Coarsen, HeavyEdgePrefersHeavyEdges) {
   b.add_edge(2, 3, 100);
   const Graph g = b.build_undirected();
   util::Rng rng(41);
-  const CoarseLevel level = coarsen_once(g, MatchingScheme::kHeavyEdge, rng);
+  const CoarseLevel level =
+      coarsen_one(g, MatchingScheme::kHeavyEdge, rng.next());
   EXPECT_EQ(level.graph.num_vertices(), 2u);
   EXPECT_EQ(level.fine_to_coarse[0], level.fine_to_coarse[1]);
   EXPECT_EQ(level.fine_to_coarse[2], level.fine_to_coarse[3]);
+}
+
+TEST(Coarsen, MatchingIsValidInvolutionOnEdges) {
+  const Graph g = ba_graph();
+  const std::vector<Vertex> match =
+      match_vertices(g, MatchingScheme::kHeavyEdge, 0xfeedULL);
+  ASSERT_EQ(match.size(), g.num_vertices());
+  std::uint64_t pairs = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_LT(match[v], g.num_vertices());
+    EXPECT_EQ(match[match[v]], v) << "match is not an involution at " << v;
+    if (match[v] != v) {
+      EXPECT_TRUE(has_neighbor(g, v, match[v]))
+          << v << " matched to non-neighbor " << match[v];
+      ++pairs;
+    }
+  }
+  // A BA graph is connected, so the matching must pair most vertices.
+  EXPECT_GT(pairs, g.num_vertices() / 2);
+}
+
+TEST(Coarsen, SaltChangesTieBreaks) {
+  // On an unweighted grid every edge ties, so the salt alone decides the
+  // matching; two salts agreeing everywhere would mean it is ignored.
+  const Graph g = grid_graph();
+  EXPECT_NE(match_vertices(g, MatchingScheme::kHeavyEdge, 1),
+            match_vertices(g, MatchingScheme::kHeavyEdge, 2));
+}
+
+TEST(Coarsen, ContractPreservesWeightTotalsAndDropsInternalEdges) {
+  const Graph g = ba_graph();
+  const std::vector<Vertex> match =
+      match_vertices(g, MatchingScheme::kHeavyEdge, 0xfeedULL);
+  const CoarseLevel level = contract(g, match);
+
+  ASSERT_EQ(level.fine_to_coarse.size(), g.num_vertices());
+  // Matched pairs land on one coarse vertex; weights are constituent sums.
+  std::uint64_t pairs = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(level.fine_to_coarse[v], level.fine_to_coarse[match[v]]);
+    if (match[v] != v) ++pairs;
+  }
+  EXPECT_EQ(level.graph.num_vertices(), g.num_vertices() - pairs / 2);
+  EXPECT_EQ(level.graph.total_vertex_weight(), g.total_vertex_weight());
+
+  // Edge weight shrinks by exactly the weight of the intra-pair edges;
+  // self-loops must not appear.
+  Weight internal = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    for (const graph::Arc& a : g.neighbors(v))
+      if (a.to == match[v] && v < a.to) internal += a.weight;
+  EXPECT_EQ(level.graph.total_edge_weight(),
+            g.total_edge_weight() - internal);
+  for (Vertex c = 0; c < level.graph.num_vertices(); ++c)
+    for (const graph::Arc& a : level.graph.neighbors(c))
+      EXPECT_NE(a.to, c) << "self-loop on coarse vertex " << c;
+  EXPECT_TRUE(level.graph.check_symmetric());
 }
 
 // -------------------------------------------------- initial + recursive
@@ -414,8 +517,7 @@ TEST(KwayRefine, ImprovesHashedPartition) {
   HashPartitioner hp;
   Partition p = hp.partition(g, 4);
   const Weight before = edge_cut_weight(g, p);
-  util::Rng rng(71);
-  const Weight after = kway_refine(g, p, KwayRefineConfig{}, rng);
+  const Weight after = kway_refine(g, p, KwayRefineConfig{});
   EXPECT_LT(after, before);
   EXPECT_TRUE(p.is_complete());
 }
@@ -424,8 +526,7 @@ TEST(KwayRefine, NeverEmptiesAShard) {
   const Graph g = graph::make_complete(12);
   Partition p(12, 3);
   for (Vertex v = 0; v < 12; ++v) p.assign(v, static_cast<ShardId>(v % 3));
-  util::Rng rng(73);
-  kway_refine(g, p, KwayRefineConfig{}, rng);
+  kway_refine(g, p, KwayRefineConfig{});
   for (std::uint64_t s : p.shard_sizes()) EXPECT_GE(s, 1u);
 }
 
@@ -434,8 +535,7 @@ TEST(KwayRefine, RespectsWeightCap) {
   const Graph g = graph::make_erdos_renyi(120, 0.06, grng);
   HashPartitioner hp;
   Partition p = hp.partition(g, 4);
-  util::Rng rng(83);
-  kway_refine(g, p, KwayRefineConfig{.imbalance = 0.05}, rng);
+  kway_refine(g, p, KwayRefineConfig{.imbalance = 0.05});
   const auto weights = p.shard_weights(g);
   const double cap = 120.0 / 4 * 1.05 + 1;
   for (Weight w : weights) EXPECT_LE(static_cast<double>(w), cap);
@@ -518,6 +618,83 @@ TEST(Mlkp, DeterministicForFixedSeed) {
   MlkpPartitioner a(MlkpConfig{.seed = 5});
   MlkpPartitioner b(MlkpConfig{.seed = 5});
   EXPECT_EQ(a.partition(g, 4), b.partition(g, 4));
+}
+
+/// FNV-1a over the assignment vector, rendered as decimal ids so the
+/// digest does not depend on byte order.
+std::uint64_t assignment_digest(const Partition& p) {
+  std::string bytes;
+  for (ShardId s : p.assignments()) bytes += std::to_string(s) + ',';
+  return util::fnv1a64(bytes);
+}
+
+struct PinnedPartition {
+  const char* graph;
+  std::uint64_t seed;
+  std::uint32_t k;
+  std::uint64_t digest;
+};
+
+// Pinned outputs of MlkpPartitioner: any change to matching,
+// contraction, initial bisection or refinement that alters a single
+// assignment shows up here. Regenerate only for an intended change.
+constexpr PinnedPartition kPinnedPartitions[] = {
+    {"ba", 1, 2, 0x38fe229287c544ecULL},
+    {"ba", 1, 4, 0x4cda9f5808416175ULL},
+    {"ba", 1, 8, 0x7b35c4093ed97004ULL},
+    {"ba", 7, 2, 0xc32e420f15c71a9cULL},
+    {"ba", 7, 4, 0x5b45ccc5ec573be6ULL},
+    {"ba", 7, 8, 0x45d33c28ac49eb53ULL},
+    {"ba", 42, 2, 0x0752aa925dd9bebcULL},
+    {"ba", 42, 4, 0x7c6afa071091725dULL},
+    {"ba", 42, 8, 0x6d48b3c9c2f60490ULL},
+    {"grid", 1, 2, 0xbbb012ce5ed4498dULL},
+    {"grid", 1, 4, 0x820cc2c0047772aeULL},
+    {"grid", 1, 8, 0xfa5bc353b30b9295ULL},
+    {"grid", 7, 2, 0x4a57e1b78cacb945ULL},
+    {"grid", 7, 4, 0xd59f0b3aa269e8ffULL},
+    {"grid", 7, 8, 0x78219acb1d12e05dULL},
+    {"grid", 42, 2, 0x5376febcd51b26f5ULL},
+    {"grid", 42, 4, 0x5b68589e71c70e3dULL},
+    {"grid", 42, 8, 0xae5083d1372d67d1ULL},
+    {"history", 1, 2, 0x8fefda1abd913769ULL},
+    {"history", 1, 4, 0x18dbcb3df68235eaULL},
+    {"history", 1, 8, 0xa5c4f7cf4e9782a5ULL},
+    {"history", 7, 2, 0x35cdb8802003a9f8ULL},
+    {"history", 7, 4, 0x91eb71ca646e4722ULL},
+    {"history", 7, 8, 0x7074336b8e3e53efULL},
+    {"history", 42, 2, 0x24b6795975a7f1d1ULL},
+    {"history", 42, 4, 0x9e5ae90a33258a70ULL},
+    {"history", 42, 8, 0xa618a68fd0eaba59ULL},
+};
+
+TEST(Mlkp, PartitionDigestsArePinned) {
+  const std::map<std::string, Graph> graphs = {
+      {"ba", ba_graph()}, {"grid", grid_graph()}, {"history", history_graph()}};
+  // Once with observability off and once with metrics and tracing on:
+  // recording must never feed back into partitioning decisions.
+  for (const bool observe : {false, true}) {
+    obs::set_enabled(observe);
+    obs::set_trace_enabled(observe);
+    obs::Registry reg;
+    const obs::ScopedRegistry scope(reg);
+    for (const PinnedPartition& pin : kPinnedPartitions) {
+      const Partition p = MlkpPartitioner(MlkpConfig{.seed = pin.seed})
+                              .partition(graphs.at(pin.graph), pin.k);
+      EXPECT_EQ(assignment_digest(p), pin.digest)
+          << pin.graph << " seed=" << pin.seed << " k=" << pin.k
+          << " observe=" << observe;
+    }
+#if ETHSHARD_OBS_ENABLED
+    // The instrumentation really fired on the observed pass.
+    if (observe) {
+      EXPECT_GE(reg.snapshot().counters.at("pmatch/invocations"), 1u);
+    }
+#endif
+  }
+  obs::set_enabled(false);
+  obs::set_trace_enabled(false);
+  obs::TraceBuffer::global().clear();
 }
 
 TEST(Mlkp, AcceptsDirectedInput) {
@@ -750,9 +927,8 @@ TEST(KwayRefine, BalanceMovesFlagOffStillReducesCut) {
   HashPartitioner hp;
   Partition p = hp.partition(g, 3);
   const Weight before = edge_cut_weight(g, p);
-  util::Rng rng(13);
-  const Weight after = kway_refine(
-      g, p, KwayRefineConfig{.balance_moves = false}, rng);
+  const Weight after =
+      kway_refine(g, p, KwayRefineConfig{.balance_moves = false});
   EXPECT_LT(after, before);
 }
 

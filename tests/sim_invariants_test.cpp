@@ -280,7 +280,6 @@ TEST(ComparisonTable, GoldenRegression) {
   cfg.shard_counts = {2, 4};
   cfg.seed = 7;
   cfg.threads = 1;
-  cfg.partitioner_threads = 1;
   const std::vector<ExperimentRun> runs = run_experiment(history, cfg);
   const std::string got =
       strip_wall_clock_column(comparison_table(runs));

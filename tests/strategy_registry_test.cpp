@@ -110,6 +110,10 @@ TEST(StrategyRegistryTest, UnknownKeyIsNamed) {
         StrategyRegistry::global().make_build("r-metis:agg_shards=4", 7);
       },
       "unknown key 'agg_shards'");
+  // The partitioner is serial; a thread count is no longer a key.
+  expect_failure_mentioning(
+      [] { StrategyRegistry::global().make("metis:threads=4", 7); },
+      "unknown key 'threads'");
 }
 
 TEST(StrategyRegistryTest, BadValuesAreNamed) {
@@ -214,7 +218,6 @@ TEST(StrategyRegistryTest, RandomizedMlkpSpecsRoundTrip) {
     const int init_tries = static_cast<int>(1 + rng.uniform(6));
     const int refine_passes = static_cast<int>(1 + rng.uniform(8));
     const bool refine = rng.uniform(2) == 0;
-    const std::uint64_t threads = rng.uniform(9);  // 0 = hardware, 1..8
     const bool heavy = rng.uniform(2) == 0;
 
     std::ostringstream spec;
@@ -222,7 +225,6 @@ TEST(StrategyRegistryTest, RandomizedMlkpSpecsRoundTrip) {
          << ",coarsen_to=" << coarsen_to << ",init_tries=" << init_tries
          << ",refine_passes=" << refine_passes
          << ",refine=" << (refine ? "true" : "false")
-         << ",threads=" << threads
          << ",matching=" << (heavy ? "heavy-edge" : "random");
     const auto s = StrategyRegistry::global().make(spec.str(), 7);
     ASSERT_NE(s, nullptr) << spec.str();
@@ -234,7 +236,6 @@ TEST(StrategyRegistryTest, RandomizedMlkpSpecsRoundTrip) {
     EXPECT_EQ(cfg.init_tries, init_tries) << spec.str();
     EXPECT_EQ(cfg.refine_passes, refine_passes) << spec.str();
     EXPECT_EQ(cfg.refine, refine) << spec.str();
-    EXPECT_EQ(cfg.threads, threads) << spec.str();
     EXPECT_EQ(cfg.matching, heavy ? partition::MatchingScheme::kHeavyEdge
                                   : partition::MatchingScheme::kRandom)
         << spec.str();
@@ -261,51 +262,18 @@ TEST(StrategyRegistryTest, RandomizedTrMetisThresholdsRoundTrip) {
   }
 }
 
-// --------------------------------------------------------- threads param
-
-TEST(StrategyRegistryTest, DefaultThreadsReachesMlkpConfig) {
-  // The make() default applies when the spec stays silent...
-  const auto a = StrategyRegistry::global().make("r-metis", 7, 4);
-  EXPECT_EQ(mlkp_config_of(*a).threads, 4u);
-  // ...an explicit spec key wins over the default...
-  const auto b = StrategyRegistry::global().make("r-metis:threads=2", 7, 8);
-  EXPECT_EQ(mlkp_config_of(*b).threads, 2u);
-  // ...and with neither, MLKP stays serial.
-  const auto c = StrategyRegistry::global().make("metis", 7);
-  EXPECT_EQ(mlkp_config_of(*c).threads, 1u);
-  // The P-METIS alias takes the same keys as its canonical name.
-  const auto d = StrategyRegistry::global().make("p-metis:threads=3", 7);
-  EXPECT_EQ(d->name(), "R-METIS");
-  EXPECT_EQ(mlkp_config_of(*d).threads, 3u);
-}
-
-TEST(StrategyRegistryTest, BadThreadsValuesAreNamed) {
-  expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("r-metis:threads=abc", 7); },
-      "key 'threads'");
-  expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("metis:threads=4096", 7); },
-      "not plausible");
-  // Strategies without a partitioner reject the key outright.
-  expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("hashing:threads=4", 7); },
-      "unknown key 'threads'");
-  expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("kl:threads=4", 7); },
-      "unknown key 'threads'");
-}
-
 TEST(StrategyRegistryTest, MalformedSpecsNameTheOffendingToken) {
   expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("r-metis:threads", 7); },
-      "'threads' is not of the form key=value");
+      [] { StrategyRegistry::global().make("r-metis:coarsen_to", 7); },
+      "'coarsen_to' is not of the form key=value");
   expect_failure_mentioning(
       [] {
-        StrategyRegistry::global().make("r-metis:threads=1,threads=2", 7);
+        StrategyRegistry::global().make(
+            "r-metis:coarsen_to=100,coarsen_to=200", 7);
       },
-      "repeats key 'threads'");
+      "repeats key 'coarsen_to'");
   expect_failure_mentioning(
-      [] { StrategyRegistry::global().make("r-metis:threads=-2", 7); },
+      [] { StrategyRegistry::global().make("r-metis:coarsen_to=-2", 7); },
       "non-negative integer");
 }
 

@@ -485,84 +485,6 @@ TEST(Parallel, WorkerExceptionRethrownExactlyOnce) {
   EXPECT_EQ(caught.load(), 2);  // one per call, never zero or doubled
 }
 
-TEST(Parallel, ChunkCountMatchesCeilDiv) {
-  EXPECT_EQ(chunk_count(0, 100), 0u);
-  EXPECT_EQ(chunk_count(1, 100), 1u);
-  EXPECT_EQ(chunk_count(100, 100), 1u);
-  EXPECT_EQ(chunk_count(101, 100), 2u);
-  EXPECT_EQ(chunk_count(1000, 64), 16u);
-}
-
-TEST(Parallel, ForChunkedCoversAllIndicesExactlyOnce) {
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    std::vector<std::atomic<int>> hits(1000);
-    std::atomic<std::size_t> chunks_seen{0};
-    parallel_for_chunked(
-        1000, 64,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          // Chunk boundaries are a pure function of (count, grain) —
-          // never of the thread count.
-          EXPECT_EQ(begin, chunk * 64);
-          EXPECT_EQ(end, std::min<std::size_t>(begin + 64, 1000));
-          for (std::size_t i = begin; i < end; ++i) ++hits[i];
-          ++chunks_seen;
-        },
-        threads);
-    EXPECT_EQ(chunks_seen.load(), chunk_count(1000, 64));
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(Parallel, ReduceMatchesSerialSum) {
-  std::vector<std::uint64_t> values(10007);
-  for (std::size_t i = 0; i < values.size(); ++i) values[i] = i * i % 97;
-  const std::uint64_t expected =
-      std::accumulate(values.begin(), values.end(), std::uint64_t{0});
-  for (const std::size_t threads : {1u, 3u, 8u}) {
-    const std::uint64_t got = parallel_reduce<std::uint64_t>(
-        values.size(), 256, 0,
-        [&](std::size_t begin, std::size_t end) {
-          std::uint64_t s = 0;
-          for (std::size_t i = begin; i < end; ++i) s += values[i];
-          return s;
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; }, threads);
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
-TEST(Parallel, ExclusivePrefixSumMatchesSerial) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                              std::size_t{1000}, std::size_t{100000}}) {
-    std::vector<std::uint64_t> values(n);
-    for (std::size_t i = 0; i < n; ++i) values[i] = (i * 31 + 7) % 11;
-    std::vector<std::uint64_t> expected(n);
-    std::uint64_t running = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      expected[i] = running;
-      running += values[i];
-    }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      std::vector<std::uint64_t> scratch = values;
-      const std::uint64_t total = exclusive_prefix_sum(scratch, threads);
-      EXPECT_EQ(total, running) << "n=" << n << " threads=" << threads;
-      EXPECT_EQ(scratch, expected) << "n=" << n << " threads=" << threads;
-    }
-  }
-}
-
-TEST(Parallel, CapNestedThreadsSharesTheBudget) {
-  const std::size_t hw = default_thread_count();
-  // requested == 0 → take whatever the outer level leaves over.
-  EXPECT_EQ(cap_nested_threads(0, 1), hw);
-  EXPECT_GE(cap_nested_threads(0, hw), 1u);
-  // An explicit request is honoured only up to the per-caller share.
-  EXPECT_EQ(cap_nested_threads(1, 4), 1u);
-  EXPECT_LE(cap_nested_threads(64, 2) * 2, std::max<std::size_t>(hw, 2));
-  // Never returns zero, even when outer workers already oversubscribe.
-  EXPECT_GE(cap_nested_threads(8, 10 * hw), 1u);
-}
-
 // ----------------------------------------------------------------- check
 
 TEST(Check, PassingCheckIsSilent) {

@@ -3,9 +3,9 @@
 #
 #   tools/ci_sanitize.sh                  # asan suite (the historical default)
 #   tools/ci_sanitize.sh --suite asan     # ASan+UBSan build, full test suite
-#   tools/ci_sanitize.sh --suite tsan     # TSan build, parallel partition +
-#                                         # util suites (the multithreaded
-#                                         # surface worth racing)
+#   tools/ci_sanitize.sh --suite tsan     # TSan build, the util thread-pool
+#                                         # suite (the multithreaded surface
+#                                         # worth racing)
 #   tools/ci_sanitize.sh --suite all      # both, asan first
 #
 # Extra arguments after the suite selector are forwarded to ctest.
@@ -32,10 +32,9 @@ run_asan() {
 
 run_tsan() {
   cmake --preset tsan
-  # Only the binaries with real multithreaded surface — building the whole
+  # Only the binary with real multithreaded surface — building the whole
   # tree (benches, examples) under TSan buys nothing.
-  cmake --build build-tsan -j "$(nproc)" \
-    --target test_parallel_partition test_util
+  cmake --build build-tsan -j "$(nproc)" --target test_util
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --preset tsan "$@"
 }

@@ -97,12 +97,9 @@ int usage() {
       "  --gas                compare only: gas-based load model\n"
       "\n"
       "replay (simulate, and per-cell for compare):\n"
-      "  --threads N          thread budget: mt-MLKP partitioner threads\n"
-      "                       for simulate/partition, grid workers for\n"
-      "                       compare (whose partitioners auto-fit the\n"
-      "                       leftover budget). 0 (default) = serial\n"
-      "                       partitioner / hardware-sized grid. Results\n"
-      "                       never depend on N (mt-MLKP determinism)\n"
+      "  --threads N          compare only: grid cells run in parallel\n"
+      "                       on N workers (0 = hardware concurrency,\n"
+      "                       the default); results never depend on N\n"
       "  --max-rss-mb N       fail (exit 1) if peak resident memory\n"
       "                       exceeds N MiB — pair with --stream to keep\n"
       "                       large-scale replays inside a budget\n"
@@ -304,13 +301,8 @@ int cmd_simulate(const util::ArgParser& args) {
 
   // --method takes a registry spec: a bare name ("R-METIS", or the
   // paper-figure alias "P-METIS") or name:key=value,... for tuning.
-  // --threads sets the mt-MLKP partitioner threads unless the spec's own
-  // "threads=" key overrides it (0 = keep the serial default).
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_uint("threads", 0));
   core::StrategyBuild build = core::StrategyRegistry::global().make_build(
-      args.get("method", "R-METIS"), args.get_uint("seed", 7),
-      threads == 0 ? 1 : threads);
+      args.get("method", "R-METIS"), args.get_uint("seed", 7));
   const auto& strategy = build.strategy;
   core::SimulatorConfig cfg;
   cfg.k = k;
@@ -388,16 +380,10 @@ int cmd_partition(const util::ArgParser& args) {
               static_cast<unsigned long long>(g.num_vertices()),
               static_cast<unsigned long long>(g.num_edges()));
 
-  // --threads feeds the mt-MLKP phases; the other one-shot partitioners
-  // are serial and ignore it.
-  partition::MlkpConfig mlkp_cfg;
-  mlkp_cfg.threads = static_cast<std::size_t>(args.get_uint("threads", 0));
-  if (mlkp_cfg.threads == 0) mlkp_cfg.threads = 1;
-
   std::vector<std::unique_ptr<partition::Partitioner>> methods;
   methods.push_back(std::make_unique<partition::HashPartitioner>());
   methods.push_back(std::make_unique<partition::KernighanLinPartitioner>());
-  methods.push_back(std::make_unique<partition::MlkpPartitioner>(mlkp_cfg));
+  methods.push_back(std::make_unique<partition::MlkpPartitioner>());
   methods.push_back(std::make_unique<partition::SpectralPartitioner>());
   methods.push_back(std::make_unique<partition::LdgPartitioner>());
   methods.push_back(std::make_unique<partition::FennelPartitioner>());
@@ -526,10 +512,9 @@ int cmd_compare(const util::ArgParser& args) {
   core::ExperimentConfig cfg;
   cfg.seed = args.get_uint("seed", 7);
   if (args.get_bool("gas", false)) cfg.load_model = core::LoadModel::kGas;
-  // --threads sizes the grid; each cell's partitioner auto-fits whatever
-  // hardware budget the grid workers leave (never oversubscribing).
+  // --threads sizes the grid; ExperimentConfig::validate rejects an
+  // implausible value.
   cfg.threads = static_cast<std::size_t>(args.get_uint("threads", 0));
-  cfg.partitioner_threads = 0;
 
   const std::string shards = args.get("shards", "2,4,8");
   cfg.shard_counts.clear();
@@ -589,15 +574,6 @@ int main(int argc, char** argv) {
         cap != obs::TraceBuffer::kDefaultMaxSpans)
       obs::TraceBuffer::global().set_max_spans(
           static_cast<std::size_t>(cap));
-
-    // --threads is accepted by every subcommand (commands that have no
-    // parallel phase simply ignore it); validate it once, up front.
-    const std::uint64_t threads_flag = args.get_uint("threads", 0);
-    ETHSHARD_CHECK_MSG(threads_flag <= 1024,
-                       "--threads " << threads_flag
-                                    << " is not plausible — use 0 for the "
-                                       "default (serial partitioner / "
-                                       "hardware-sized grid)");
 
     int rc;
     if (command == "generate") {

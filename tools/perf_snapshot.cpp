@@ -1,7 +1,7 @@
 // perf_snapshot — tagged performance benches with a schema-versioned
 // JSON snapshot, plus the comparator that guards against regressions.
 //
-//   perf_snapshot run   [--out PATH] [--reps N] [--threads N]
+//   perf_snapshot run   [--out PATH] [--reps N]
 //   perf_snapshot check --snapshot PATH --baseline PATH [--strict]
 //
 // `run` executes every tagged bench `reps` times and writes
@@ -14,15 +14,11 @@
 //
 // Snapshot schema (v1):
 //   {"schema_version": 1, "stamp": "...", "git_sha": "...",
-//    "hostname": "...", "threads": N, "requested_threads": N,
-//    "scale": F, "seed": N, "entries": [
-//      {"name": "...", "reps": N, "threads": N, "requested_threads": N,
-//       "wall_ms": F, "p50_ms": F, "p99_ms": F, "peak_rss_mb": F}, ...]}
-// The per-entry "threads" records the *effective* thread knob that bench
-// ran with (partitioner threads for the mt entries, 1 elsewhere) and
-// "requested_threads" the pre-clamp ask — they differ only when
-// --threads exceeded the host's hardware count (a stderr warning flags
-// the clamp). "peak_rss_mb" is the resident high-water mark over that
+//    "hostname": "...", "scale": F, "seed": N, "entries": [
+//      {"name": "...", "reps": N, "wall_ms": F, "p50_ms": F,
+//       "p99_ms": F, "peak_rss_mb": F}, ...]}
+// Every bench runs single-threaded. "peak_rss_mb" is the resident
+// high-water mark over that
 // bench's reps (util::reset_peak_rss before each bench; 0 when the
 // platform cannot measure it). The checker's field scanner ignores keys
 // it does not know, so baselines without them stay valid.
@@ -50,11 +46,9 @@
 #include "graph/generators.hpp"
 #include "obs/histogram.hpp"
 #include "partition/mlkp.hpp"
-#include "partition/parallel_match.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/mem.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -66,12 +60,6 @@ using namespace ethshard;
 struct BenchResult {
   std::string name;
   int reps = 0;
-  std::size_t threads = 1;  // effective thread knob the bench ran with
-  /// The thread count that was *asked for* (--threads, or the bench's
-  /// pinned value) before any hardware clamp. Differs from `threads`
-  /// only when the host has fewer cores than requested — recording both
-  /// keeps mt-vs-serial comparisons honest on small hosts.
-  std::size_t requested_threads = 1;
   double wall_ms = 0;       // median of the reps
   double p50_ms = 0;
   double p99_ms = 0;
@@ -86,10 +74,7 @@ double quantile_of(std::vector<double> sorted, double q) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-/// `requested` is the pre-clamp thread ask; pass the same value as
-/// `threads` for benches whose knob is pinned rather than clamped.
 BenchResult run_bench(const std::string& name, int reps,
-                      std::size_t requested, std::size_t threads,
                       const std::function<void()>& body) {
   // Bracket this bench's memory: the high-water mark read afterwards
   // covers only these reps, not whatever a previous bench allocated.
@@ -106,17 +91,15 @@ BenchResult run_bench(const std::string& name, int reps,
   BenchResult res;
   res.name = name;
   res.reps = reps;
-  res.threads = threads;
-  res.requested_threads = requested;
   res.wall_ms = quantile_of(samples, 0.5);
   res.p50_ms = res.wall_ms;
   res.p99_ms = quantile_of(samples, 0.99);
   res.peak_rss_mb =
       static_cast<double>(util::peak_rss_bytes()) / (1024.0 * 1024.0);
   std::fprintf(stderr,
-               "[perf] %-28s %4d reps %2zu thr  p50 %10.3f ms  p99 %10.3f ms"
+               "[perf] %-28s %4d reps  p50 %10.3f ms  p99 %10.3f ms"
                "  peak %7.1f MiB\n",
-               name.c_str(), reps, threads, res.p50_ms, res.p99_ms,
+               name.c_str(), reps, res.p50_ms, res.p99_ms,
                res.peak_rss_mb);
   return res;
 }
@@ -175,21 +158,11 @@ int cmd_run(const util::ArgParser& args) {
   const double scale = bench::scale_from_env();
   const std::uint64_t seed = bench::seed_from_env();
   const int reps = reps_from_env(static_cast<int>(args.get_uint("reps", 3)));
-  const std::size_t requested_threads =
-      static_cast<std::size_t>(args.get_uint("threads", 4));
-  const std::size_t threads =
-      std::min(requested_threads, util::default_thread_count());
-  if (threads != requested_threads)
-    std::fprintf(stderr,
-                 "[perf] warning: --threads %zu clamped to %zu (host has "
-                 "%zu hardware threads); mt entries will record both "
-                 "requested and effective counts\n",
-                 requested_threads, threads, util::default_thread_count());
 
   // Graph size tracks the scale knob so smoke runs stay sub-second. The
-  // _large variants use a 10x graph: at the default scale the base graph
+  // _large variant uses a 10x graph: at the default scale the base graph
   // coarsens away in one or two levels, which under-exercises the
-  // parallel coarsen/refine ladders that dominate real partitioner runs.
+  // coarsen/refine ladders that dominate real partitioner runs.
   const auto n = static_cast<std::uint64_t>(std::max(
       1000.0, scale * 2e6));
   const auto n_large = static_cast<std::uint64_t>(std::max(
@@ -202,49 +175,26 @@ int cmd_run(const util::ArgParser& args) {
   const workload::History history = bench::make_history(scale, seed);
 
   std::vector<BenchResult> results;
-  results.push_back(run_bench("mlkp_partition_serial", reps, 1, 1, [&] {
-    partition::MlkpConfig cfg;
-    cfg.seed = seed;
-    cfg.threads = 1;
-    partition::MlkpPartitioner(cfg).partition(ba, 8);
+  // The "_serial" suffix is historical; the names stay so the BENCH_*
+  // trajectory lines up across snapshots.
+  results.push_back(run_bench("mlkp_partition_serial", reps, [&] {
+    partition::MlkpPartitioner(partition::MlkpConfig{.seed = seed})
+        .partition(ba, 8);
   }));
-  results.push_back(
-      run_bench("mlkp_partition_mt", reps, requested_threads, threads, [&] {
-        partition::MlkpConfig cfg;
-        cfg.seed = seed;
-        cfg.threads = threads;
-        partition::MlkpPartitioner(cfg).partition(ba, 8);
-      }));
-  results.push_back(
-      run_bench("mlkp_partition_serial_large", reps, 1, 1, [&] {
-        partition::MlkpConfig cfg;
-        cfg.seed = seed;
-        cfg.threads = 1;
-        partition::MlkpPartitioner(cfg).partition(ba_large, 8);
-      }));
-  results.push_back(run_bench("mlkp_partition_mt_large", reps,
-                              requested_threads, threads, [&] {
-                                partition::MlkpConfig cfg;
-                                cfg.seed = seed;
-                                cfg.threads = threads;
-                                partition::MlkpPartitioner(cfg).partition(
-                                    ba_large, 8);
-                              }));
-  results.push_back(
-      run_bench("parallel_matching_mt", reps, requested_threads, threads, [&] {
-        partition::parallel_matching(ba, partition::MatchingScheme::kHeavyEdge,
-                                     seed, threads);
-      }));
-  results.push_back(run_bench("simulate_hashing", reps, 1, 1, [&] {
+  results.push_back(run_bench("mlkp_partition_serial_large", reps, [&] {
+    partition::MlkpPartitioner(partition::MlkpConfig{.seed = seed})
+        .partition(ba_large, 8);
+  }));
+  results.push_back(run_bench("simulate_hashing", reps, [&] {
     bench::simulate(history, core::Method::kHashing, 4, seed);
   }));
-  results.push_back(run_bench("simulate_rmetis", reps, 1, 1, [&] {
+  results.push_back(run_bench("simulate_rmetis", reps, [&] {
     bench::simulate(history, core::Method::kRMetis, 4, seed);
   }));
   // Migration-heavy cell: KL (the balanced-label-propagation scheme) at
   // k = 8 moves vertices between shards every period, stressing the
   // incremental static-cut maintenance and window-graph construction.
-  results.push_back(run_bench("simulate_blp_k8", reps, 1, 1, [&] {
+  results.push_back(run_bench("simulate_blp_k8", reps, [&] {
     bench::simulate(history, core::Method::kKl, 8, seed);
   }));
   // Many-call transaction shape: attack spam fanning out to ~200 dummy
@@ -256,7 +206,7 @@ int cmd_run(const util::ArgParser& args) {
   manycall_cfg.attack_dummies_per_tx = 200;
   const workload::History manycall_history =
       workload::EthereumHistoryGenerator(manycall_cfg).generate();
-  results.push_back(run_bench("simulate_manycall", reps, 1, 1, [&] {
+  results.push_back(run_bench("simulate_manycall", reps, [&] {
     bench::simulate(manycall_history, core::Method::kHashing, 4, seed);
   }));
   // Long-gap trace: the same history with an 80-year quiet period spliced
@@ -268,7 +218,7 @@ int cmd_run(const util::ArgParser& args) {
                      : (blocks.front().timestamp + blocks.back().timestamp) / 2;
   const workload::History gap_history =
       workload::with_traffic_gap(history, mid, 80 * 365 * util::kDay);
-  results.push_back(run_bench("simulate_longgap", reps, 1, 1, [&] {
+  results.push_back(run_bench("simulate_longgap", reps, [&] {
     bench::simulate(gap_history, core::Method::kHashing, 4, seed);
   }));
   // Streaming cell: the same hashing workload, but the simulator pulls
@@ -277,7 +227,7 @@ int cmd_run(const util::ArgParser& args) {
   // roughly simulate_hashing plus the generate() cost the other cells
   // pay outside their timed region), with the peak_rss_mb column
   // showing the whole-history copy it avoids.
-  results.push_back(run_bench("simulate_streaming", reps, 1, 1, [&] {
+  results.push_back(run_bench("simulate_streaming", reps, [&] {
     workload::GeneratorConfig cfg;
     cfg.scale = scale;
     cfg.seed = seed;
@@ -291,7 +241,7 @@ int cmd_run(const util::ArgParser& args) {
   // Pure generation at 10x scale, drained block-by-block without ever
   // holding more than one block: bounds the generator's own footprint
   // (registry + mempool) separately from any simulator state.
-  results.push_back(run_bench("generate_streaming_large", reps, 1, 1, [&] {
+  results.push_back(run_bench("generate_streaming_large", reps, [&] {
     workload::GeneratorConfig cfg;
     cfg.scale = scale * 10;
     cfg.seed = seed;
@@ -301,7 +251,7 @@ int cmd_run(const util::ArgParser& args) {
     while (source.next(block)) txs += block.transactions.size();
     ETHSHARD_CHECK(txs > 0);
   }));
-  results.push_back(run_bench("obs_histogram_record", reps, 1, 1, [&] {
+  results.push_back(run_bench("obs_histogram_record", reps, [&] {
     obs::Histogram h;
     for (int i = 0; i < 1000000; ++i)
       h.record(static_cast<double>((i % 997) + 1));
@@ -318,16 +268,12 @@ int cmd_run(const util::ArgParser& args) {
       << "  \"stamp\": \"" << stamp << "\",\n"
       << "  \"git_sha\": \"" << git_sha() << "\",\n"
       << "  \"hostname\": \"" << host_name() << "\",\n"
-      << "  \"threads\": " << threads << ",\n"
-      << "  \"requested_threads\": " << requested_threads << ",\n"
       << "  \"scale\": " << fmt(scale) << ",\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"entries\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     out << "    {\"name\": \"" << r.name << "\", \"reps\": " << r.reps
-        << ", \"threads\": " << r.threads
-        << ", \"requested_threads\": " << r.requested_threads
         << ", \"wall_ms\": " << fmt(r.wall_ms)
         << ", \"p50_ms\": " << fmt(r.p50_ms)
         << ", \"p99_ms\": " << fmt(r.p99_ms)
@@ -492,7 +438,7 @@ int cmd_check(const util::ArgParser& args) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: perf_snapshot run   [--out PATH] [--reps N] [--threads N]\n"
+      "usage: perf_snapshot run   [--out PATH] [--reps N]\n"
       "       perf_snapshot check --snapshot PATH --baseline PATH"
       " [--strict]\n");
   return 2;

@@ -15,8 +15,6 @@
 //                        strategy list, shrink scale)
 //   --scale-mult X       multiply every scenario's generator scale
 //                        (drift invariants are skipped when X != 1)
-//   --threads N          partitioner threads (default 1; bit-identical
-//                        results either way)
 //   --update-golden      rewrite drift goldens from this run instead of
 //                        checking them
 //   --list               parse and summarize the scenarios, run nothing
@@ -44,7 +42,7 @@ using namespace ethshard;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out PATH] [--override K=V]... [--scale-mult X]\n"
-               "          [--threads N] [--update-golden] [--list]\n"
+               "          [--update-golden] [--list]\n"
                "          <scenario-file-or-dir>...\n",
                argv0);
   return 2;
@@ -105,9 +103,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--scale-mult must be positive\n");
         return 2;
       }
-    } else if (arg == "--threads") {
-      options.default_threads =
-          static_cast<std::size_t>(std::stoul(next_value("--threads")));
     } else if (arg == "--update-golden") {
       options.update_golden = true;
     } else if (arg == "--list") {
