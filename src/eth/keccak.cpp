@@ -1,6 +1,6 @@
 #include "eth/keccak.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -8,10 +8,9 @@ namespace ethshard::eth {
 
 namespace {
 
-constexpr int kRounds = 24;
 constexpr std::size_t kRateBytes = 136;  // Keccak-256: 1600 - 2*256 bits
 
-constexpr std::uint64_t kRoundConstants[kRounds] = {
+constexpr std::uint64_t kRoundConstants[24] = {
     0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808AULL,
     0x8000000080008000ULL, 0x000000000000808BULL, 0x0000000080000001ULL,
     0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008AULL,
@@ -21,46 +20,93 @@ constexpr std::uint64_t kRoundConstants[kRounds] = {
     0x000000000000800AULL, 0x800000008000000AULL, 0x8000000080008081ULL,
     0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL};
 
-constexpr int kRotations[24] = {1,  3,  6,  10, 15, 21, 28, 36,
-                                45, 55, 2,  14, 27, 41, 56, 8,
-                                25, 43, 62, 18, 39, 61, 20, 44};
-
-constexpr int kPiLane[24] = {10, 7,  11, 17, 18, 3,  5,  16,
-                             8,  21, 24, 4,  15, 23, 19, 13,
-                             12, 2,  20, 14, 22, 9,  6,  1};
-
-inline std::uint64_t rotl64(std::uint64_t x, int n) {
-  return (x << n) | (x >> (64 - n));
-}
-
-void keccak_f1600(std::array<std::uint64_t, 25>& a) {
-  for (int round = 0; round < kRounds; ++round) {
-    // Theta
-    std::uint64_t c[5];
-    for (int x = 0; x < 5; ++x)
-      c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
-    for (int x = 0; x < 5; ++x) {
-      const std::uint64_t d = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
-      for (int y = 0; y < 25; y += 5) a[x + y] ^= d;
-    }
-    // Rho and Pi
-    std::uint64_t last = a[1];
-    for (int i = 0; i < 24; ++i) {
-      const int j = kPiLane[i];
-      const std::uint64_t tmp = a[j];
-      a[j] = rotl64(last, kRotations[i]);
-      last = tmp;
-    }
-    // Chi
-    for (int y = 0; y < 25; y += 5) {
-      std::uint64_t row[5];
-      for (int x = 0; x < 5; ++x) row[x] = a[y + x];
-      for (int x = 0; x < 5; ++x)
-        a[y + x] = row[x] ^ (~row[(x + 1) % 5] & row[(x + 2) % 5]);
-    }
-    // Iota
-    a[0] ^= kRoundConstants[round];
+// Keccak-f[1600]. Lane (x, y) of the 5x5 state is s[x + 5y]. The 25 lanes
+// live in locals for all 24 rounds, and each round is written out with
+// constant rotation offsets, so no step indexes memory or computes % 5.
+void keccak_f1600(std::array<std::uint64_t, 25>& s) {
+  std::uint64_t a00 = s[0], a01 = s[1], a02 = s[2], a03 = s[3], a04 = s[4];
+  std::uint64_t a05 = s[5], a06 = s[6], a07 = s[7], a08 = s[8], a09 = s[9];
+  std::uint64_t a10 = s[10], a11 = s[11], a12 = s[12], a13 = s[13], a14 = s[14];
+  std::uint64_t a15 = s[15], a16 = s[16], a17 = s[17], a18 = s[18], a19 = s[19];
+  std::uint64_t a20 = s[20], a21 = s[21], a22 = s[22], a23 = s[23], a24 = s[24];
+  for (const std::uint64_t rc : kRoundConstants) {
+    // Theta: XOR every lane with the parities of its two neighbouring
+    // columns, the right one rotated by 1.
+    const std::uint64_t c0 = a00 ^ a05 ^ a10 ^ a15 ^ a20;
+    const std::uint64_t c1 = a01 ^ a06 ^ a11 ^ a16 ^ a21;
+    const std::uint64_t c2 = a02 ^ a07 ^ a12 ^ a17 ^ a22;
+    const std::uint64_t c3 = a03 ^ a08 ^ a13 ^ a18 ^ a23;
+    const std::uint64_t c4 = a04 ^ a09 ^ a14 ^ a19 ^ a24;
+    const std::uint64_t d0 = c4 ^ std::rotl(c1, 1);
+    const std::uint64_t d1 = c0 ^ std::rotl(c2, 1);
+    const std::uint64_t d2 = c1 ^ std::rotl(c3, 1);
+    const std::uint64_t d3 = c2 ^ std::rotl(c4, 1);
+    const std::uint64_t d4 = c3 ^ std::rotl(c0, 1);
+    // Rho and pi move lane (x, y), rotated by its fixed offset, to
+    // (y, 2x + 3y); chi then mixes each new row as b[x] ^ (~b[x+1] & b[x+2]).
+    // Rows are built one at a time, so only five moved lanes are live at
+    // once. Iota XORs the round constant into lane (0, 0).
+    std::uint64_t b0 = a00 ^ d0;
+    std::uint64_t b1 = std::rotl(a06 ^ d1, 44);
+    std::uint64_t b2 = std::rotl(a12 ^ d2, 43);
+    std::uint64_t b3 = std::rotl(a18 ^ d3, 21);
+    std::uint64_t b4 = std::rotl(a24 ^ d4, 14);
+    const std::uint64_t e00 = b0 ^ (~b1 & b2) ^ rc;
+    const std::uint64_t e01 = b1 ^ (~b2 & b3);
+    const std::uint64_t e02 = b2 ^ (~b3 & b4);
+    const std::uint64_t e03 = b3 ^ (~b4 & b0);
+    const std::uint64_t e04 = b4 ^ (~b0 & b1);
+    b0 = std::rotl(a03 ^ d3, 28);
+    b1 = std::rotl(a09 ^ d4, 20);
+    b2 = std::rotl(a10 ^ d0, 3);
+    b3 = std::rotl(a16 ^ d1, 45);
+    b4 = std::rotl(a22 ^ d2, 61);
+    const std::uint64_t e05 = b0 ^ (~b1 & b2);
+    const std::uint64_t e06 = b1 ^ (~b2 & b3);
+    const std::uint64_t e07 = b2 ^ (~b3 & b4);
+    const std::uint64_t e08 = b3 ^ (~b4 & b0);
+    const std::uint64_t e09 = b4 ^ (~b0 & b1);
+    b0 = std::rotl(a01 ^ d1, 1);
+    b1 = std::rotl(a07 ^ d2, 6);
+    b2 = std::rotl(a13 ^ d3, 25);
+    b3 = std::rotl(a19 ^ d4, 8);
+    b4 = std::rotl(a20 ^ d0, 18);
+    const std::uint64_t e10 = b0 ^ (~b1 & b2);
+    const std::uint64_t e11 = b1 ^ (~b2 & b3);
+    const std::uint64_t e12 = b2 ^ (~b3 & b4);
+    const std::uint64_t e13 = b3 ^ (~b4 & b0);
+    const std::uint64_t e14 = b4 ^ (~b0 & b1);
+    b0 = std::rotl(a04 ^ d4, 27);
+    b1 = std::rotl(a05 ^ d0, 36);
+    b2 = std::rotl(a11 ^ d1, 10);
+    b3 = std::rotl(a17 ^ d2, 15);
+    b4 = std::rotl(a23 ^ d3, 56);
+    const std::uint64_t e15 = b0 ^ (~b1 & b2);
+    const std::uint64_t e16 = b1 ^ (~b2 & b3);
+    const std::uint64_t e17 = b2 ^ (~b3 & b4);
+    const std::uint64_t e18 = b3 ^ (~b4 & b0);
+    const std::uint64_t e19 = b4 ^ (~b0 & b1);
+    b0 = std::rotl(a02 ^ d2, 62);
+    b1 = std::rotl(a08 ^ d3, 55);
+    b2 = std::rotl(a14 ^ d4, 39);
+    b3 = std::rotl(a15 ^ d0, 41);
+    b4 = std::rotl(a21 ^ d1, 2);
+    const std::uint64_t e20 = b0 ^ (~b1 & b2);
+    const std::uint64_t e21 = b1 ^ (~b2 & b3);
+    const std::uint64_t e22 = b2 ^ (~b3 & b4);
+    const std::uint64_t e23 = b3 ^ (~b4 & b0);
+    const std::uint64_t e24 = b4 ^ (~b0 & b1);
+    a00 = e00; a01 = e01; a02 = e02; a03 = e03; a04 = e04;
+    a05 = e05; a06 = e06; a07 = e07; a08 = e08; a09 = e09;
+    a10 = e10; a11 = e11; a12 = e12; a13 = e13; a14 = e14;
+    a15 = e15; a16 = e16; a17 = e17; a18 = e18; a19 = e19;
+    a20 = e20; a21 = e21; a22 = e22; a23 = e23; a24 = e24;
   }
+  s[0] = a00; s[1] = a01; s[2] = a02; s[3] = a03; s[4] = a04;
+  s[5] = a05; s[6] = a06; s[7] = a07; s[8] = a08; s[9] = a09;
+  s[10] = a10; s[11] = a11; s[12] = a12; s[13] = a13; s[14] = a14;
+  s[15] = a15; s[16] = a16; s[17] = a17; s[18] = a18; s[19] = a19;
+  s[20] = a20; s[21] = a21; s[22] = a22; s[23] = a23; s[24] = a24;
 }
 
 int hex_digit(char c) {
@@ -74,17 +120,33 @@ int hex_digit(char c) {
 
 Keccak256::Keccak256() = default;
 
+void Keccak256::permute() {
+  keccak_f1600(state_);
+  pos_ = 0;
+}
+
+void Keccak256::absorb_byte(std::uint8_t b) {
+  state_[pos_ / 8] ^= std::uint64_t{b} << (8 * (pos_ % 8));
+  if (++pos_ == kRateBytes) permute();
+}
+
+void Keccak256::absorb_lane(std::uint64_t lane) {
+  state_[pos_ / 8] ^= lane;
+  pos_ += 8;
+  if (pos_ == kRateBytes) permute();
+}
+
 void Keccak256::update(const void* data, std::size_t len) {
   ETHSHARD_CHECK(!finalized_);
   const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    const std::size_t take = std::min(len, kRateBytes - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, p, take);
-    buffer_len_ += take;
-    p += take;
-    len -= take;
-    if (buffer_len_ == kRateBytes) absorb_block();
+  const std::uint8_t* const end = p + len;
+  while (p != end && pos_ % 8 != 0) absorb_byte(*p++);
+  for (; end - p >= 8; p += 8) {
+    std::uint64_t lane = 0;
+    for (int b = 0; b < 8; ++b) lane |= std::uint64_t{p[b]} << (8 * b);
+    absorb_lane(lane);
   }
+  while (p != end) absorb_byte(*p++);
 }
 
 void Keccak256::update(std::string_view data) {
@@ -92,31 +154,23 @@ void Keccak256::update(std::string_view data) {
 }
 
 void Keccak256::update_u64(std::uint64_t v) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  update(bytes, sizeof(bytes));
-}
-
-void Keccak256::absorb_block() {
-  for (std::size_t i = 0; i < kRateBytes / 8; ++i) {
-    std::uint64_t lane = 0;
-    for (int b = 7; b >= 0; --b)
-      lane = (lane << 8) | buffer_[i * 8 + static_cast<std::size_t>(b)];
-    state_[i] ^= lane;
+  ETHSHARD_CHECK(!finalized_);
+  if (pos_ % 8 == 0) {
+    absorb_lane(v);
+    return;
   }
-  keccak_f1600(state_);
-  buffer_len_ = 0;
+  for (int b = 0; b < 8; ++b)
+    absorb_byte(static_cast<std::uint8_t>(v >> (8 * b)));
 }
 
 Hash256 Keccak256::finalize() {
   ETHSHARD_CHECK(!finalized_);
   finalized_ = true;
-  // Original Keccak padding: 0x01 .. 0x80 (multi-rate pad10*1).
-  std::memset(buffer_.data() + buffer_len_, 0, kRateBytes - buffer_len_);
-  buffer_[buffer_len_] = 0x01;
-  buffer_[kRateBytes - 1] |= 0x80;
-  buffer_len_ = kRateBytes;
-  absorb_block();
+  // Original Keccak padding: 0x01 .. 0x80 (multi-rate pad10*1). pos_ is
+  // below the rate here, since a full rate block is permuted at once.
+  state_[pos_ / 8] ^= std::uint64_t{0x01} << (8 * (pos_ % 8));
+  state_[kRateBytes / 8 - 1] ^= std::uint64_t{0x80} << 56;
+  keccak_f1600(state_);
 
   Hash256 out;
   for (std::size_t i = 0; i < 4; ++i) {

@@ -40,18 +40,22 @@ class Keccak256 {
   /// Absorbs raw bytes.
   void update(std::string_view data);
   void update(const void* data, std::size_t len);
-  /// Absorbs a 64-bit value in little-endian byte order.
+  /// Absorbs a 64-bit value in little-endian byte order. At a lane
+  /// boundary (every offset that is a multiple of 8) this is one lane XOR.
   void update_u64(std::uint64_t v);
 
   /// Finalizes and returns the digest. The hasher must not be reused.
   Hash256 finalize();
 
  private:
-  void absorb_block();
+  void absorb_byte(std::uint8_t b);
+  void absorb_lane(std::uint64_t lane);
+  void permute();
 
+  // Input is XORed straight into the sponge: byte i of the 136-byte rate
+  // (1088 bits) lands in lane i / 8 at bit 8 * (i % 8).
   std::array<std::uint64_t, 25> state_{};
-  std::array<std::uint8_t, 136> buffer_{};  // rate = 1088 bits = 136 bytes
-  std::size_t buffer_len_ = 0;
+  std::size_t pos_ = 0;  // bytes absorbed into the current rate block
   bool finalized_ = false;
 };
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "eth/keccak.hpp"
 #include "graph/generators.hpp"
 #include "obs/histogram.hpp"
 #include "partition/mlkp.hpp"
@@ -250,6 +251,19 @@ int cmd_run(const util::ArgParser& args) {
     std::uint64_t txs = 0;
     while (source.next(block)) txs += block.transactions.size();
     ETHSHARD_CHECK(txs > 0);
+  }));
+  // Keccak-256 of one transaction, the hash every sealed block pays per
+  // transaction: a fixed 100k hashes cycling over the history's
+  // transactions, so the entry does not shrink with the scale knob.
+  std::vector<const eth::Transaction*> txs;
+  for (const eth::Block& b : history.chain.blocks())
+    for (const eth::Transaction& tx : b.transactions) txs.push_back(&tx);
+  ETHSHARD_CHECK(!txs.empty());
+  results.push_back(run_bench("keccak_tx_hash", reps, [&] {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < 100000; ++i)
+      sum += eth::hash_prefix_u64(txs[i % txs.size()]->hash());
+    ETHSHARD_CHECK(sum != 0);
   }));
   results.push_back(run_bench("obs_histogram_record", reps, [&] {
     obs::Histogram h;
