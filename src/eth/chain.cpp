@@ -53,11 +53,4 @@ bool Chain::validate() const {
   return true;
 }
 
-std::uint64_t Chain::first_block_at_or_after(util::Timestamp ts) const {
-  auto it = std::lower_bound(
-      blocks_.begin(), blocks_.end(), ts,
-      [](const Block& b, util::Timestamp t) { return b.timestamp < t; });
-  return static_cast<std::uint64_t>(it - blocks_.begin());
-}
-
 }  // namespace ethshard::eth

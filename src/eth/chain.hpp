@@ -37,10 +37,6 @@ class Chain {
   /// Total transactions across all blocks.
   std::uint64_t transaction_count() const { return tx_count_; }
 
-  /// Index of the first block with timestamp >= ts (blocks are time-sorted),
-  /// i.e. a lower-bound search usable for windowed replay.
-  std::uint64_t first_block_at_or_after(util::Timestamp ts) const;
-
   /// Cached hash of block `number` (computed once at append time).
   /// Precondition: number < size().
   const Hash256& block_hash(std::uint64_t number) const;

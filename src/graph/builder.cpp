@@ -64,10 +64,6 @@ void GraphBuilder::add_vertex_weight(Vertex v, Weight weight) {
   vwgt_[v] += weight;
 }
 
-bool GraphBuilder::has_edge(Vertex u, Vertex v) const {
-  return edge_weight(u, v) > 0;
-}
-
 Weight GraphBuilder::edge_weight(Vertex u, Vertex v) const {
   const PairWeights* pw = find_pair(u, v);
   if (pw == nullptr) return 0;

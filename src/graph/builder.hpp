@@ -71,7 +71,6 @@ class GraphBuilder {
   /// Sum of all accumulated edge weights (= number of interactions).
   Weight total_edge_weight() const { return total_edge_weight_; }
 
-  bool has_edge(Vertex u, Vertex v) const;
   /// Accumulated weight of u→v; 0 if absent.
   Weight edge_weight(Vertex u, Vertex v) const;
   Weight vertex_weight(Vertex v) const { return vwgt_[v]; }
@@ -81,18 +80,6 @@ class GraphBuilder {
   /// track_und_neighbors. (Weights live in the shared pair map; use
   /// edge_weight / the build methods.)
   std::span<const Vertex> undirected_neighbors(Vertex v) const;
-
-  /// Visits every distinct directed edge as f(u, v, accumulated_weight).
-  /// Order is unspecified. O(m).
-  template <typename F>
-  void for_each_edge(F&& f) const {
-    for (const auto& [packed, pw] : pair_weight_) {
-      const Vertex lo = packed >> 32;
-      const Vertex hi = packed & 0xffffffffu;
-      if (pw.fwd > 0) f(lo, hi, pw.fwd);
-      if (pw.rev > 0) f(hi, lo, pw.rev);
-    }
-  }
 
   /// Immutable directed snapshot (CSR). O(n + m).
   Graph build_directed() const;

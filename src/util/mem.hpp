@@ -2,10 +2,11 @@
 //
 // The streaming BlockSource work makes memory a first-class measured
 // quantity: per-window telemetry carries the resident set, the CLI can
-// enforce a budget (--max-rss-mb), and perf_snapshot records a peak per
-// bench entry. These helpers read Linux /proc/self/status (VmRSS/VmHWM);
-// on other platforms they degrade to 0 / best-effort getrusage, and
-// callers treat 0 as "unavailable" rather than an error.
+// enforce a budget (--max-rss-mb), and the repository benchmark
+// (perfbench/) records each replay's peak. These helpers read Linux
+// /proc/self/status (VmRSS/VmHWM); on other platforms they degrade to
+// 0 / best-effort getrusage, and callers treat 0 as "unavailable" rather
+// than an error.
 #pragma once
 
 #include <cstdint>

@@ -110,14 +110,12 @@ class BlockSourceFactory {
 
 /// Decorator splicing a quiet period into any stream: every block with
 /// timestamp >= gap_start is shifted gap_length seconds into the future,
-/// producing a dormancy stretch with no traffic at all — the streaming
-/// analogue of with_traffic_gap (workload/generator.hpp), usable at
-/// scales where the chain is never materialized. Block numbers and
-/// contents are untouched; parent hashes are left as the inner source
-/// emitted them (replay consumers read timestamps and transactions, not
-/// hash links — re-seal through with_traffic_gap if you need a
-/// validating chain). Scenario files use this for the long
-/// dormancy→reactivation stress shape.
+/// producing a dormancy stretch with no traffic at all, at scales where
+/// the chain is never materialized. Block numbers and contents are
+/// untouched; parent hashes are left as the inner source emitted them
+/// (replay consumers read timestamps and transactions, not hash links,
+/// so the shifted stream does not validate as a chain). Scenario files
+/// use this for the long dormancy→reactivation stress shape.
 class TrafficGapSource final : public BlockSource {
  public:
   /// Takes ownership of `inner`.

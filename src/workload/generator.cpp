@@ -311,22 +311,6 @@ HistoryStats stats_of(const History& h) {
   return st;
 }
 
-History with_traffic_gap(const History& history, util::Timestamp gap_start,
-                         util::Timestamp gap_length) {
-  ETHSHARD_CHECK(gap_length >= 0);
-  History out;
-  out.accounts = history.accounts;
-  for (const eth::Block& b : history.chain.blocks()) {
-    eth::Block shifted = b;
-    if (shifted.timestamp >= gap_start) shifted.timestamp += gap_length;
-    shifted.parent_hash = out.chain.empty()
-                              ? eth::Hash256{}
-                              : out.chain.block_hash(out.chain.size() - 1);
-    out.chain.append(std::move(shifted));
-  }
-  return out;
-}
-
 /// The generator's interval loop, unrolled into a resumable pull. State
 /// that generate() used to keep in locals (loop clock, emitted tally,
 /// mempool, nonce map, chain tail for parent links) lives here instead,

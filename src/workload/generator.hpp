@@ -115,15 +115,6 @@ struct HistoryStats {
 
 HistoryStats stats_of(const History& h);
 
-/// Copy of `history` with a quiet period spliced in: every block at or
-/// after `gap_start` is shifted `gap_length` seconds into the future, so
-/// the chain contains a stretch of `gap_length` with no traffic at all.
-/// Blocks are re-linked (parent hashes recomputed), so the result still
-/// validates. Used to stress the simulator's empty-window fast path and
-/// to model chains with long outages or pre-launch idle periods.
-History with_traffic_gap(const History& history, util::Timestamp gap_start,
-                         util::Timestamp gap_length);
-
 /// Streams the synthetic history block-by-block: the generator's interval
 /// loop, made resumable. Emits exactly the block sequence
 /// EthereumHistoryGenerator::generate() materializes for the same config

@@ -105,4 +105,20 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "simulate with a bogus method should fail")
 endif()
 
+# Partitioner names match case-insensitively; an unknown one fails with
+# the known names listed instead of printing an empty table.
+run_cli("\nMLKP +[0-9]" partition --trace ${TRACE} --shards 4 --method mlkp)
+execute_process(
+  COMMAND ${CLI} partition --trace ${TRACE} --method Spectral
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "partition with an unknown method should fail")
+endif()
+if(NOT err MATCHES "unknown partitioner 'Spectral'.*MLKP")
+  message(FATAL_ERROR
+    "partition --method Spectral: expected the known partitioners, got:\n${err}")
+endif()
+
 message(STATUS "cli smoke test passed")

@@ -378,15 +378,6 @@ TEST(Chain, BlockHashCacheMatchesRecomputation) {
     EXPECT_EQ(chain.block_hash(i), chain.block(i).hash());
 }
 
-TEST(Chain, FirstBlockAtOrAfter) {
-  const Chain chain = make_chain(5);  // timestamps 1000..5000
-  EXPECT_EQ(chain.first_block_at_or_after(0), 0u);
-  EXPECT_EQ(chain.first_block_at_or_after(1000), 0u);
-  EXPECT_EQ(chain.first_block_at_or_after(1001), 1u);
-  EXPECT_EQ(chain.first_block_at_or_after(5000), 4u);
-  EXPECT_EQ(chain.first_block_at_or_after(5001), 5u);
-}
-
 TEST(Chain, ValidateDetectsMalformedTransaction) {
   Chain chain;
   Block b;

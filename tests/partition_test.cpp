@@ -22,7 +22,6 @@
 #include "partition/mlkp.hpp"
 #include "partition/quality.hpp"
 #include "partition/recursive_bisection.hpp"
-#include "partition/spectral.hpp"
 #include "partition/streaming.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -932,29 +931,6 @@ TEST(KwayRefine, BalanceMovesFlagOffStillReducesCut) {
   EXPECT_LT(after, before);
 }
 
-TEST(Spectral, WeightedEdgesShapeTheCut) {
-  // Two triangles joined by two bridges: one light (w=1), one heavy
-  // (w=100). The optimal bisection must cut only the light bridge...
-  // but any bisection cuts both or neither; instead weight the intra-
-  // cluster edges so the clusters hold together.
-  graph::GraphBuilder b;
-  b.ensure_vertices(6);
-  const Weight heavy = 50;
-  b.add_edge(0, 1, heavy);
-  b.add_edge(1, 2, heavy);
-  b.add_edge(0, 2, heavy);
-  b.add_edge(3, 4, heavy);
-  b.add_edge(4, 5, heavy);
-  b.add_edge(3, 5, heavy);
-  b.add_edge(2, 3, 1);  // the only inter-cluster link
-  const Graph g = b.build_undirected();
-  SpectralPartitioner sp;
-  const Partition p = sp.partition(g, 2);
-  EXPECT_EQ(edge_cut_weight(g, p), 1u);
-  EXPECT_EQ(p.shard_of(0), p.shard_of(2));
-  EXPECT_EQ(p.shard_of(3), p.shard_of(5));
-}
-
 TEST(Blp, RequiresCompletePartition) {
   const Graph g = graph::make_path(4);
   Partition p(4, 2);  // unassigned
@@ -1123,67 +1099,6 @@ TEST(Quality, RequiresCompletePartition) {
   const Graph g = graph::make_path(3);
   Partition p(3, 2);  // unassigned
   EXPECT_THROW(evaluate_partition(g, p), util::CheckFailure);
-}
-
-// -------------------------------------------------------------- spectral
-
-TEST(Spectral, FiedlerSeparatesPathEnds) {
-  const Graph g = graph::make_path(20);
-  const std::vector<double> f = fiedler_vector(g, SpectralConfig{});
-  // The path's Fiedler vector is monotone (cosine profile): the two ends
-  // carry opposite signs.
-  EXPECT_LT(f.front() * f.back(), 0.0);
-  // And the midpoint sits near zero relative to the ends.
-  EXPECT_LT(std::abs(f[10]), std::max(std::abs(f.front()),
-                                      std::abs(f.back())));
-}
-
-TEST(Spectral, FiedlerSeparatesTwoCliques) {
-  const Graph g = graph::make_two_cliques(30, 1);
-  const std::vector<double> f = fiedler_vector(g, SpectralConfig{});
-  // All of clique A on one side of zero, all of clique B on the other.
-  int sign_changes_within_a = 0;
-  for (int i = 1; i < 15; ++i)
-    if (f[static_cast<std::size_t>(i)] * f[0] < 0)
-      ++sign_changes_within_a;
-  EXPECT_LE(sign_changes_within_a, 1);  // tolerate the bridge vertex
-  EXPECT_LT(f[0] * f[20], 0.0);
-}
-
-TEST(Spectral, TwoCliquesOptimalCut) {
-  const Graph g = graph::make_two_cliques(40, 2);
-  SpectralPartitioner sp;
-  EXPECT_EQ(edge_cut_weight(g, sp.partition(g, 2)), 2u);
-}
-
-TEST(Spectral, GridBisectionNearOptimal) {
-  const Graph g = graph::make_grid(12, 12);
-  SpectralPartitioner sp;
-  const Partition p = sp.partition(g, 2);
-  EXPECT_LE(edge_cut_weight(g, p), 18u);  // optimum 12
-  const auto sizes = p.shard_sizes();
-  EXPECT_NEAR(static_cast<double>(sizes[0]), 72.0, 8.0);
-}
-
-TEST(Spectral, KWayContract) {
-  util::Rng grng(303);
-  const Graph g = graph::make_barabasi_albert(150, 2, grng);
-  SpectralPartitioner sp;
-  for (std::uint32_t k : {2u, 3u, 5u}) {
-    const Partition p = sp.partition(g, k);
-    EXPECT_TRUE(p.is_complete());
-    for (std::uint64_t s : p.shard_sizes()) EXPECT_GT(s, 0u);
-  }
-}
-
-TEST(Spectral, WithoutPolishStillValid) {
-  const Graph g = graph::make_grid(10, 10);
-  SpectralConfig cfg;
-  cfg.fm_polish = false;
-  SpectralPartitioner sp(cfg);
-  const Partition p = sp.partition(g, 2);
-  EXPECT_TRUE(p.is_complete());
-  EXPECT_LT(metrics::static_edge_cut(g, p), 0.5);
 }
 
 // ------------------------------------------------------------- streaming

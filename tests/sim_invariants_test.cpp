@@ -23,6 +23,7 @@
 #include "core/strategy_registry.hpp"
 #include "metrics/metrics.hpp"
 #include "util/sim_time.hpp"
+#include "workload/block_source.hpp"
 #include "workload/generator.hpp"
 
 namespace ethshard::core {
@@ -190,10 +191,12 @@ void expect_fast_forward_equivalent(const std::string& spec,
   ASSERT_FALSE(blocks.empty());
   const util::Timestamp mid =
       (blocks.front().timestamp + blocks.back().timestamp) / 2;
-  const workload::History gapped =
-      workload::with_traffic_gap(base, mid, 400 * util::kDay);
 
   auto run = [&](bool fast_forward) {
+    workload::TrafficGapSource gapped(
+        std::make_unique<workload::MaterializedSource>(base.chain,
+                                                       &base.accounts),
+        mid, 400 * util::kDay);
     const auto strategy =
         StrategyRegistry::global().make(spec, /*default_seed=*/7);
     SimulatorConfig cfg;

@@ -14,6 +14,8 @@
 // workflow a user with the authors' published trace would follow: convert
 // it to the flat CSV schema (see workload/trace_io.hpp) and point any
 // subcommand at it.
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -36,7 +38,6 @@
 #include "partition/metis_io.hpp"
 #include "partition/mlkp.hpp"
 #include "partition/quality.hpp"
-#include "partition/spectral.hpp"
 #include "partition/streaming.hpp"
 #include "scenario/report.hpp"
 #include "util/args.hpp"
@@ -92,7 +93,8 @@ int usage() {
       "  --method SPEC        Hashing|KL|METIS|R-METIS|TR-METIS|DSM\n"
       "                       (P-METIS = R-METIS; tunable, e.g.\n"
       "                       'tr-metis:cut_floor=0.25,min_gap_days=2');\n"
-      "                       partition takes a one-shot partitioner name\n"
+      "                       partition takes a one-shot partitioner:\n"
+      "                       Hashing|KL|MLKP|LDG|Fennel (default: all)\n"
       "  --shards K|LIST      shard count (2); compare takes a list (2,4,8)\n"
       "  --gas                compare only: gas-based load model\n"
       "\n"
@@ -362,10 +364,36 @@ int cmd_simulate(const util::ArgParser& args) {
   return 0;
 }
 
+/// ASCII case-insensitive equality, so `--method mlkp` names MLKP the
+/// way strategy specs are matched (core::StrategyRegistry).
+bool iequals(const std::string& a, const std::string& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](unsigned char x, unsigned char y) {
+                      return std::tolower(x) == std::tolower(y);
+                    });
+}
+
 int cmd_partition(const util::ArgParser& args) {
-  const workload::History history = load_history(args);
   const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
   const std::string only = args.get("method", "");
+
+  std::vector<std::unique_ptr<partition::Partitioner>> methods;
+  methods.push_back(std::make_unique<partition::HashPartitioner>());
+  methods.push_back(std::make_unique<partition::KernighanLinPartitioner>());
+  methods.push_back(std::make_unique<partition::MlkpPartitioner>());
+  methods.push_back(std::make_unique<partition::LdgPartitioner>());
+  methods.push_back(std::make_unique<partition::FennelPartitioner>());
+  if (!only.empty()) {
+    std::string known;
+    for (const auto& m : methods) known += " " + m->name();
+    std::erase_if(methods,
+                  [&](const auto& m) { return !iequals(m->name(), only); });
+    ETHSHARD_CHECK_MSG(!methods.empty(),
+                       "unknown partitioner '" << only
+                           << "' — known partitioners:" << known);
+  }
+
+  const workload::History history = load_history(args);
 
   // Build the final cumulative graph (§II-B).
   graph::GraphBuilder builder;
@@ -380,18 +408,9 @@ int cmd_partition(const util::ArgParser& args) {
               static_cast<unsigned long long>(g.num_vertices()),
               static_cast<unsigned long long>(g.num_edges()));
 
-  std::vector<std::unique_ptr<partition::Partitioner>> methods;
-  methods.push_back(std::make_unique<partition::HashPartitioner>());
-  methods.push_back(std::make_unique<partition::KernighanLinPartitioner>());
-  methods.push_back(std::make_unique<partition::MlkpPartitioner>());
-  methods.push_back(std::make_unique<partition::SpectralPartitioner>());
-  methods.push_back(std::make_unique<partition::LdgPartitioner>());
-  methods.push_back(std::make_unique<partition::FennelPartitioner>());
-
   std::printf("%-10s %10s %10s %12s %10s %12s\n", "method", "edgeCut",
               "balance", "dynEdgeCut", "boundary", "commVolume");
   for (const auto& m : methods) {
-    if (!only.empty() && m->name() != only) continue;
     const partition::Partition p = m->partition(g, k);
     const partition::QualityReport q = partition::evaluate_partition(g, p);
     std::printf("%-10s %10.4f %10.4f %12.4f %10llu %12llu\n",
