@@ -36,7 +36,7 @@ int main() {
       tx.calls.push_back(eth::Call{u, (u + 1 + rng.uniform(kUsers - 1)) % kUsers,
                                    eth::CallKind::kTransfer,
                                    100 + rng.uniform(900)});
-      if (pool.submit(std::move(tx), 0)) ++submitted;
+      if (pool.submit(std::move(tx))) ++submitted;
     }
   }
   std::printf("mempool: %zu pending transactions (%llu submitted)\n\n",

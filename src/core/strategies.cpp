@@ -85,6 +85,31 @@ partition::Partition merge_local(const WindowGraph& wg,
   return merged;
 }
 
+/// Arrival rule of the METIS family and DSM: place_min_cut (§II-C) over
+/// the current shard populations.
+partition::ShardId place_near_peers(std::span<const partition::ShardId> peers,
+                                    const SimulatorEnv& env) {
+  return place_min_cut(peers, env.shard_vertex_counts(), env.k());
+}
+
+/// R-METIS / TR-METIS repartition: MLKP over the window graph (seeded
+/// per invocation), labels aligned to the current assignment, merged
+/// back over the global partition. An empty window keeps the current
+/// partition and consumes no seed.
+partition::Partition repartition_window(const SimulatorEnv& env,
+                                        const partition::MlkpConfig& mlkp,
+                                        std::uint64_t& invocation) {
+  const WindowGraph wg = env.window_graph();
+  if (wg.to_global.empty()) return env.current_partition();
+  partition::MlkpConfig cfg = mlkp;
+  cfg.seed = mlkp.seed + (++invocation);
+  partition::MlkpPartitioner partitioner(cfg);
+  const partition::Partition local =
+      align_labels(wg, partitioner.partition(wg.undirected, env.k()),
+                   env.current_partition(), mlkp.imbalance);
+  return merge_local(wg, local, env.current_partition());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Hashing
@@ -137,7 +162,7 @@ partition::Partition KlStrategy::compute_partition(const SimulatorEnv& env) {
 partition::ShardId FullGraphMlkpStrategy::place(
     graph::Vertex, std::span<const partition::ShardId> peers,
     const SimulatorEnv& env) {
-  return place_min_cut(peers, env.shard_vertex_counts(), env.k());
+  return place_near_peers(peers, env);
 }
 
 bool FullGraphMlkpStrategy::should_repartition(const WindowSnapshot& snapshot,
@@ -160,7 +185,7 @@ partition::Partition FullGraphMlkpStrategy::compute_partition(
 partition::ShardId WindowMlkpStrategy::place(
     graph::Vertex, std::span<const partition::ShardId> peers,
     const SimulatorEnv& env) {
-  return place_min_cut(peers, env.shard_vertex_counts(), env.k());
+  return place_near_peers(peers, env);
 }
 
 bool WindowMlkpStrategy::should_repartition(const WindowSnapshot& snapshot,
@@ -170,15 +195,7 @@ bool WindowMlkpStrategy::should_repartition(const WindowSnapshot& snapshot,
 
 partition::Partition WindowMlkpStrategy::compute_partition(
     const SimulatorEnv& env) {
-  const WindowGraph wg = env.window_graph();
-  if (wg.to_global.empty()) return env.current_partition();
-  partition::MlkpConfig cfg = mlkp_;
-  cfg.seed = mlkp_.seed + (++invocation_);
-  partition::MlkpPartitioner mlkp(cfg);
-  const partition::Partition local =
-      align_labels(wg, mlkp.partition(wg.undirected, env.k()),
-                   env.current_partition(), mlkp_.imbalance);
-  return merge_local(wg, local, env.current_partition());
+  return repartition_window(env, mlkp_, invocation_);
 }
 
 // --------------------------------------------------------------- TR-METIS
@@ -186,7 +203,7 @@ partition::Partition WindowMlkpStrategy::compute_partition(
 partition::ShardId ThresholdMlkpStrategy::place(
     graph::Vertex, std::span<const partition::ShardId> peers,
     const SimulatorEnv& env) {
-  return place_min_cut(peers, env.shard_vertex_counts(), env.k());
+  return place_near_peers(peers, env);
 }
 
 bool ThresholdMlkpStrategy::should_repartition(const WindowSnapshot& snapshot,
@@ -226,15 +243,7 @@ bool ThresholdMlkpStrategy::should_repartition(const WindowSnapshot& snapshot,
 partition::Partition ThresholdMlkpStrategy::compute_partition(
     const SimulatorEnv& env) {
   have_baseline_ = false;  // re-baseline after this repartition
-  const WindowGraph wg = env.window_graph();
-  if (wg.to_global.empty()) return env.current_partition();
-  partition::MlkpConfig cfg = mlkp_;
-  cfg.seed = mlkp_.seed + (++invocation_);
-  partition::MlkpPartitioner mlkp(cfg);
-  const partition::Partition local =
-      align_labels(wg, mlkp.partition(wg.undirected, env.k()),
-                   env.current_partition(), mlkp_.imbalance);
-  return merge_local(wg, local, env.current_partition());
+  return repartition_window(env, mlkp_, invocation_);
 }
 
 // -------------------------------------------------------------------- DSM
@@ -242,7 +251,7 @@ partition::Partition ThresholdMlkpStrategy::compute_partition(
 partition::ShardId DsmStrategy::place(
     graph::Vertex, std::span<const partition::ShardId> peers,
     const SimulatorEnv& env) {
-  return place_min_cut(peers, env.shard_vertex_counts(), env.k());
+  return place_near_peers(peers, env);
 }
 
 void DsmStrategy::on_transaction(std::span<const graph::Vertex> involved,

@@ -34,8 +34,8 @@ util::Timestamp read_period(SpecReader& r) {
   const double days = r.get_double(
       "period_days",
       static_cast<double>(util::kRepartitionPeriod) / util::kDay);
-  ETHSHARD_CHECK_MSG(days > 0, "strategy '" + r.name() +
-                                   "': period_days must be > 0");
+  ETHSHARD_INPUT_CHECK(days > 0, "strategy '" + r.name() +
+                                     "': period_days must be > 0");
   return static_cast<util::Timestamp>(days * util::kDay);
 }
 
@@ -56,10 +56,10 @@ partition::MlkpConfig read_mlkp(SpecReader& r) {
   } else if (matching == "random") {
     cfg.matching = partition::MatchingScheme::kRandom;
   } else {
-    ETHSHARD_CHECK_MSG(false, "strategy '" + r.name() +
-                                  "': matching must be 'heavy-edge' or "
-                                  "'random', got '" +
-                                  matching + "'");
+    ETHSHARD_INPUT_CHECK(false, "strategy '" + r.name() +
+                                    "': matching must be 'heavy-edge' or "
+                                    "'random', got '" +
+                                    matching + "'");
   }
   return cfg;
 }
@@ -103,9 +103,9 @@ void register_builtins(StrategyRegistry& reg) {
             const double gap_days = r.get_double(
                 "min_gap_days",
                 static_cast<double>(t.min_gap) / util::kDay);
-            ETHSHARD_CHECK_MSG(gap_days >= 0,
-                               "strategy 'tr-metis': min_gap_days must be "
-                               ">= 0");
+            ETHSHARD_INPUT_CHECK(gap_days >= 0,
+                                 "strategy 'tr-metis': min_gap_days must be "
+                                 ">= 0");
             t.min_gap = static_cast<util::Timestamp>(gap_days * util::kDay);
             t.min_interactions =
                 r.get_uint("min_interactions", t.min_interactions);
@@ -126,9 +126,9 @@ StrategySpec parse_strategy_spec(std::string_view spec) {
   StrategySpec out;
   const auto colon = spec.find(':');
   out.name = lower(trim(spec.substr(0, colon)));
-  ETHSHARD_CHECK_MSG(!out.name.empty(),
-                     "strategy spec '" + std::string(spec) +
-                         "' has an empty name");
+  ETHSHARD_INPUT_CHECK(!out.name.empty(),
+                       "strategy spec '" + std::string(spec) +
+                           "' has an empty name");
   if (colon == std::string_view::npos) return out;
 
   std::string params(spec.substr(colon + 1));
@@ -137,15 +137,15 @@ StrategySpec parse_strategy_spec(std::string_view spec) {
   while (std::getline(is, token, ',')) {
     if (trim(token).empty()) continue;
     const auto eq = token.find('=');
-    ETHSHARD_CHECK_MSG(eq != std::string::npos,
-                       "strategy spec parameter '" + trim(token) +
-                           "' is not of the form key=value");
+    ETHSHARD_INPUT_CHECK(eq != std::string::npos,
+                         "strategy spec parameter '" + trim(token) +
+                             "' is not of the form key=value");
     const std::string key = lower(trim(token.substr(0, eq)));
     const std::string value = trim(token.substr(eq + 1));
-    ETHSHARD_CHECK_MSG(!key.empty(), "strategy spec parameter '" +
-                                         trim(token) + "' has an empty key");
+    ETHSHARD_INPUT_CHECK(!key.empty(), "strategy spec parameter '" +
+                                           trim(token) + "' has an empty key");
     for (const auto& [k, v] : out.params)
-      ETHSHARD_CHECK_MSG(k != key, "strategy spec repeats key '" + key + "'");
+      ETHSHARD_INPUT_CHECK(k != key, "strategy spec repeats key '" + key + "'");
     out.params.emplace_back(key, value);
   }
   return out;
@@ -176,9 +176,9 @@ double SpecReader::get_double(const std::string& key, double fallback) {
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  ETHSHARD_CHECK_MSG(end != v->c_str() && *end == '\0',
-                     "strategy '" + spec_.name + "': key '" + key +
-                         "' expects a number, got '" + *v + "'");
+  ETHSHARD_INPUT_CHECK(end != v->c_str() && *end == '\0',
+                       "strategy '" + spec_.name + "': key '" + key +
+                           "' expects a number, got '" + *v + "'");
   return parsed;
 }
 
@@ -188,11 +188,11 @@ std::uint64_t SpecReader::get_uint(const std::string& key,
   if (!v) return fallback;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  ETHSHARD_CHECK_MSG(end != v->c_str() && *end == '\0' &&
-                         v->find('-') == std::string::npos,
-                     "strategy '" + spec_.name + "': key '" + key +
-                         "' expects a non-negative integer, got '" + *v +
-                         "'");
+  ETHSHARD_INPUT_CHECK(end != v->c_str() && *end == '\0' &&
+                           v->find('-') == std::string::npos,
+                       "strategy '" + spec_.name + "': key '" + key +
+                           "' expects a non-negative integer, got '" + *v +
+                           "'");
   return parsed;
 }
 
@@ -201,9 +201,9 @@ int SpecReader::get_int(const std::string& key, int fallback) {
   if (!v) return fallback;
   char* end = nullptr;
   const long parsed = std::strtol(v->c_str(), &end, 10);
-  ETHSHARD_CHECK_MSG(end != v->c_str() && *end == '\0',
-                     "strategy '" + spec_.name + "': key '" + key +
-                         "' expects an integer, got '" + *v + "'");
+  ETHSHARD_INPUT_CHECK(end != v->c_str() && *end == '\0',
+                       "strategy '" + spec_.name + "': key '" + key +
+                           "' expects an integer, got '" + *v + "'");
   return static_cast<int>(parsed);
 }
 
@@ -213,16 +213,16 @@ bool SpecReader::get_bool(const std::string& key, bool fallback) {
   const std::string s = lower(*v);
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  ETHSHARD_CHECK_MSG(false, "strategy '" + spec_.name + "': key '" + key +
-                                "' expects a boolean, got '" + *v + "'");
+  ETHSHARD_INPUT_CHECK(false, "strategy '" + spec_.name + "': key '" + key +
+                                  "' expects a boolean, got '" + *v + "'");
   return fallback;
 }
 
 void SpecReader::finish() const {
   for (const auto& [k, v] : spec_.params)
-    ETHSHARD_CHECK_MSG(consumed_.count(k) != 0,
-                       "unknown key '" + k + "' for strategy '" +
-                           spec_.name + "'");
+    ETHSHARD_INPUT_CHECK(consumed_.count(k) != 0,
+                         "unknown key '" + k + "' for strategy '" +
+                             spec_.name + "'");
 }
 
 void StrategyRegistry::add(const std::string& canonical,
@@ -255,7 +255,7 @@ StrategyBuild StrategyRegistry::make_build(
       std::ostringstream os;
       os << "unknown strategy '" << parsed.name << "' — known strategies:";
       for (const std::string& n : canonical_) os << " " << n;
-      ETHSHARD_CHECK_MSG(false, os.str());
+      throw util::InputError(os.str());
     }
     factory = it->second;
   }

@@ -13,7 +13,7 @@
 // Grammar:   spec     := name [":" param ("," param)*]
 //            param    := key "=" value
 // Unknown names, unknown keys, duplicate keys and unparsable values are
-// rejected with a util::CheckFailure naming the offending token.
+// rejected with a util::InputError naming the offending token.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ struct StrategySpec {
   std::vector<std::pair<std::string, std::string>> params;
 };
 
-/// Splits a spec string. Throws util::CheckFailure on a malformed token
+/// Splits a spec string. Throws util::InputError on a malformed token
 /// (missing '=', empty key, duplicate key), naming it.
 StrategySpec parse_strategy_spec(std::string_view spec);
 
@@ -55,14 +55,14 @@ class SpecReader {
   std::uint64_t seed() const { return seed_; }
 
   /// Getters return `fallback` when the key is absent and throw
-  /// util::CheckFailure (naming the key) when the value does not parse.
+  /// util::InputError (naming the key) when the value does not parse.
   std::string get_string(const std::string& key, const std::string& fallback);
   double get_double(const std::string& key, double fallback);
   std::uint64_t get_uint(const std::string& key, std::uint64_t fallback);
   int get_int(const std::string& key, int fallback);
   bool get_bool(const std::string& key, bool fallback);
 
-  /// Throws util::CheckFailure naming the first never-read key, if any.
+  /// Throws util::InputError naming the first never-read key, if any.
   void finish() const;
 
  private:
@@ -98,7 +98,7 @@ class StrategyRegistry {
            const std::vector<std::string>& aliases, Factory factory);
 
   /// Builds a configured strategy from a spec string. Throws
-  /// util::CheckFailure on an unknown name (listing the known ones) or a
+  /// util::InputError on an unknown name (listing the known ones) or a
   /// malformed/unknown parameter (naming the key).
   std::unique_ptr<ShardingStrategy> make(std::string_view spec,
                                          std::uint64_t default_seed = 1) const;

@@ -6,7 +6,7 @@
 
 namespace ethshard::eth {
 
-void Chain::append(Block block) {
+void Chain::append(Block block, std::optional<Hash256> hash) {
   if (blocks_.empty()) {
     ETHSHARD_CHECK_MSG(block.number == 0, "genesis block must have number 0");
   } else {
@@ -19,7 +19,7 @@ void Chain::append(Block block) {
                        "timestamp regression at block " << block.number);
   }
   tx_count_ += block.transactions.size();
-  hashes_.push_back(block.hash());
+  hashes_.push_back(hash ? *hash : block.hash());
   blocks_.push_back(std::move(block));
 }
 

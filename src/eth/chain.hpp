@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "eth/block.hpp"
@@ -17,8 +18,10 @@ namespace ethshard::eth {
 class Chain {
  public:
   /// Appends a block after validating linkage. Throws util::CheckFailure
-  /// if the block does not extend the chain.
-  void append(Block block);
+  /// if the block does not extend the chain. A producer that already
+  /// hashed the block (to link its successor) passes that `hash`, which
+  /// must equal block.hash(), so the chain does not compute it again.
+  void append(Block block, std::optional<Hash256> hash = std::nullopt);
 
   std::size_t size() const { return blocks_.size(); }
   bool empty() const { return blocks_.empty(); }

@@ -2,7 +2,7 @@
 
 namespace ethshard::eth {
 
-bool Mempool::submit(Transaction tx, util::Timestamp now) {
+bool Mempool::submit(Transaction tx) {
   if (!tx.well_formed()) return false;
   auto& queue = by_sender_[tx.sender];
   const auto it = queue.find(tx.nonce);
@@ -11,14 +11,12 @@ bool Mempool::submit(Transaction tx, util::Timestamp now) {
     Pending replacement;
     replacement.gas = transaction_gas(tx, schedule_);
     replacement.tx = std::move(tx);
-    replacement.submitted = now;
     it->second = std::move(replacement);
     return true;
   }
   Pending p;
   p.gas = transaction_gas(tx, schedule_);
   p.tx = std::move(tx);
-  p.submitted = now;
   queue.emplace(p.tx.nonce, std::move(p));
   ++count_;
   return true;
@@ -57,24 +55,6 @@ std::vector<Transaction> Mempool::pack_block(std::uint64_t gas_limit) {
     if (best_sender->second.empty()) by_sender_.erase(best_sender);
   }
   return block;
-}
-
-std::size_t Mempool::evict_older_than(util::Timestamp cutoff) {
-  std::size_t evicted = 0;
-  for (auto sit = by_sender_.begin(); sit != by_sender_.end();) {
-    auto& queue = sit->second;
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (it->second.submitted < cutoff) {
-        it = queue.erase(it);
-        ++evicted;
-        --count_;
-      } else {
-        ++it;
-      }
-    }
-    sit = queue.empty() ? by_sender_.erase(sit) : std::next(sit);
-  }
-  return evicted;
 }
 
 }  // namespace ethshard::eth

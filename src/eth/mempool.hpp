@@ -14,7 +14,6 @@
 
 #include "eth/gas.hpp"
 #include "eth/transaction.hpp"
-#include "util/sim_time.hpp"
 
 namespace ethshard::eth {
 
@@ -26,7 +25,7 @@ class Mempool {
   /// trace is malformed or a transaction with the same (sender, nonce) is
   /// already pending at an equal-or-better gas price; a strictly better
   /// price replaces the old one (Ethereum's replacement rule).
-  bool submit(Transaction tx, util::Timestamp now);
+  bool submit(Transaction tx);
 
   /// Pending transactions across all senders.
   std::size_t size() const { return count_; }
@@ -42,13 +41,9 @@ class Mempool {
   /// then nonce.
   std::vector<Transaction> pack_block(std::uint64_t gas_limit);
 
-  /// Drops every transaction submitted before `cutoff`; returns how many.
-  std::size_t evict_older_than(util::Timestamp cutoff);
-
  private:
   struct Pending {
     Transaction tx;
-    util::Timestamp submitted = 0;
     std::uint64_t gas = 0;
   };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "eth/chain.hpp"
-#include "eth/merkle.hpp"
 #include "util/check.hpp"
 
 namespace ethshard::eth {
@@ -132,36 +131,6 @@ bool StateDb::check_conservation() const {
   std::uint64_t total = fees_;
   for (const auto& [id, a] : accounts_) total += a.balance_wei;
   return total == minted_;
-}
-
-Hash256 StateDb::state_root() const {
-  std::vector<AccountId> ids;
-  ids.reserve(accounts_.size());
-  for (const auto& [id, a] : accounts_)
-    if (a.exists) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  std::vector<Hash256> leaves;
-  leaves.reserve(ids.size());
-  for (AccountId id : ids) {
-    const AccountState& a = accounts_.at(id);
-    Keccak256 h;
-    h.update_u64(id);
-    h.update_u64(a.balance_wei);
-    h.update_u64(a.nonce);
-    h.update_u64(a.is_contract ? 1 : 0);
-    // Commit storage as sorted (slot, value) pairs.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> slots(
-        a.storage.begin(), a.storage.end());
-    std::sort(slots.begin(), slots.end());
-    h.update_u64(slots.size());
-    for (const auto& [slot, value] : slots) {
-      h.update_u64(slot);
-      h.update_u64(value);
-    }
-    leaves.push_back(h.finalize());
-  }
-  return merkle_root(leaves);
 }
 
 std::uint64_t StateDb::migration_bytes(AccountId id) const {

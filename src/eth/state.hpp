@@ -12,11 +12,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "eth/block.hpp"
 #include "eth/gas.hpp"
-#include "eth/keccak.hpp"
 
 namespace ethshard::eth {
 
@@ -75,10 +73,6 @@ class StateDb {
   std::uint64_t total_fees() const { return fees_; }
   /// Conservation invariant: Σ balances + fees == minted. O(accounts).
   bool check_conservation() const;
-
-  /// Merkle commitment over all existing accounts, sorted by id: the
-  /// block-chain's state root in this substrate.
-  Hash256 state_root() const;
 
   /// Bytes needed to relocate the account to another shard: a fixed
   /// account record plus 64 bytes (key+value) per storage slot — the

@@ -39,8 +39,9 @@ struct RunnerOptions {
 };
 
 /// Replays one scenario against one strategy spec. Throws
-/// util::CheckFailure on configuration errors (unknown spec, missing
-/// golden file); invariant *violations* are reported, not thrown.
+/// util::InputError on an unknown or malformed strategy spec and
+/// util::CheckFailure on a missing golden file; invariant *violations*
+/// are reported, not thrown.
 /// `options.overrides` are NOT applied here — run_scenario folds them
 /// into the scenario before delegating.
 StrategyRunReport run_strategy(const Scenario& scenario,

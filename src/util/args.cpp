@@ -53,8 +53,8 @@ std::int64_t ArgParser::get_int(const std::string& name,
   std::int64_t out = 0;
   const auto [ptr, ec] =
       std::from_chars(v->data(), v->data() + v->size(), out);
-  ETHSHARD_CHECK_MSG(ec == std::errc{} && ptr == v->data() + v->size(),
-                     "flag --" << name << ": bad integer '" << *v << "'");
+  ETHSHARD_INPUT_CHECK(ec == std::errc{} && ptr == v->data() + v->size(),
+                       "flag --" << name << ": bad integer '" << *v << "'");
   return out;
 }
 
@@ -65,19 +65,19 @@ std::uint64_t ArgParser::get_uint(const std::string& name,
   std::uint64_t out = 0;
   const auto [ptr, ec] =
       std::from_chars(v->data(), v->data() + v->size(), out);
-  ETHSHARD_CHECK_MSG(ec == std::errc{} && ptr == v->data() + v->size(),
-                     "flag --" << name << ": bad integer '" << *v << "'");
+  ETHSHARD_INPUT_CHECK(ec == std::errc{} && ptr == v->data() + v->size(),
+                       "flag --" << name << ": bad integer '" << *v << "'");
   return out;
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto v = raw(name);
   if (!v) return fallback;
-  ETHSHARD_CHECK_MSG(!v->empty(), "flag --" << name << ": empty value");
+  ETHSHARD_INPUT_CHECK(!v->empty(), "flag --" << name << ": empty value");
   char* end = nullptr;
   const double out = std::strtod(v->c_str(), &end);
-  ETHSHARD_CHECK_MSG(end == v->c_str() + v->size(),
-                     "flag --" << name << ": bad number '" << *v << "'");
+  ETHSHARD_INPUT_CHECK(end == v->c_str() + v->size(),
+                       "flag --" << name << ": bad number '" << *v << "'");
   return out;
 }
 
@@ -86,8 +86,8 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   if (!v) return fallback;
   if (v->empty() || *v == "true" || *v == "1") return true;
   if (*v == "false" || *v == "0") return false;
-  ETHSHARD_CHECK_MSG(false, "flag --" << name << ": bad boolean '" << *v
-                                      << "'");
+  ETHSHARD_INPUT_CHECK(false, "flag --" << name << ": bad boolean '" << *v
+                                        << "'");
   return fallback;
 }
 

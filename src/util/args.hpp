@@ -15,8 +15,8 @@ namespace ethshard::util {
 
 class ArgParser {
  public:
-  /// Parses argv (excluding argv[0]). Throws CheckFailure on a malformed
-  /// flag (e.g. "--name" at the end with no value).
+  /// Parses argv (excluding argv[0]). A "--name" with no value (last, or
+  /// followed by another flag) is a boolean switch.
   ArgParser(int argc, const char* const* argv);
 
   /// Positional (non-flag) arguments in order.
@@ -25,7 +25,7 @@ class ArgParser {
   bool has(const std::string& name) const;
 
   /// Typed accessors; return `fallback` when the flag is absent. Throw
-  /// CheckFailure when present but unparsable.
+  /// InputError when present but unparsable.
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   std::uint64_t get_uint(const std::string& name,

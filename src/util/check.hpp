@@ -4,6 +4,10 @@
 // code. Violations throw std::logic_error (they indicate a programming
 // error, not an environmental failure), carrying the failed expression and
 // source location.
+//
+// ETHSHARD_INPUT_CHECK validates input from outside the program instead:
+// command-line flags, strategy specs, trace files. Violations throw
+// InputError, whose message names the problem and nothing else.
 #pragma once
 
 #include <sstream>
@@ -16,6 +20,14 @@ namespace ethshard::util {
 class CheckFailure : public std::logic_error {
  public:
   using std::logic_error::logic_error;
+};
+
+/// Thrown when user input is malformed or names something that does not
+/// exist. The message is meant for the user: no expression, no source
+/// location.
+class InputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 namespace detail {
@@ -45,5 +57,16 @@ namespace detail {
       os_ << msg;                                                           \
       ::ethshard::util::detail::check_failed(#expr, __FILE__, __LINE__,     \
                                              os_.str());                    \
+    }                                                                       \
+  } while (0)
+
+/// Validate user input; throws ethshard::util::InputError carrying only the
+/// streamed-in message.
+#define ETHSHARD_INPUT_CHECK(expr, msg)                                     \
+  do {                                                                      \
+    if (!(expr)) {                                                          \
+      std::ostringstream os_;                                               \
+      os_ << msg;                                                           \
+      throw ::ethshard::util::InputError(os_.str());                        \
     }                                                                       \
   } while (0)

@@ -394,7 +394,7 @@ struct GeneratedSource::Impl {
       // limit.
       for (Transaction& tx : created) {
         tx.nonce = next_nonce[tx.sender]++;
-        pool.submit(std::move(tx), block_time);
+        pool.submit(std::move(tx));
       }
       std::vector<Transaction> packed = pool.pack_block(cfg.block_gas_limit);
       if (packed.empty()) continue;
@@ -423,6 +423,10 @@ const SourceInfo& GeneratedSource::info() const { return impl_->info; }
 
 bool GeneratedSource::next(eth::Block& out) { return impl_->next(out); }
 
+const eth::Hash256& GeneratedSource::last_hash() const {
+  return impl_->last_hash;
+}
+
 const eth::AccountRegistry* GeneratedSource::directory() const {
   return &impl_->s.registry;
 }
@@ -442,7 +446,8 @@ History EthereumHistoryGenerator::generate() {
   GeneratedSource source(cfg_);
   History history;
   eth::Block block;
-  while (source.next(block)) history.chain.append(std::move(block));
+  while (source.next(block))
+    history.chain.append(std::move(block), source.last_hash());
   history.accounts = source.take_directory();
   return history;
 }

@@ -135,6 +135,10 @@ class GeneratedSource final : public BlockSource {
   /// once next() has returned false.
   const eth::AccountRegistry* directory() const override;
 
+  /// Hash of the block the last successful next() returned (sealing
+  /// computes it as the parent link of the following block).
+  const eth::Hash256& last_hash() const;
+
   /// Moves the completed registry out (History assembly). Call only
   /// after end-of-stream; the source is dead afterwards.
   eth::AccountRegistry take_directory();

@@ -27,7 +27,7 @@ char kind_code(eth::CallKind k) {
 }
 
 eth::CallKind kind_from_code(const std::string& s) {
-  ETHSHARD_CHECK_MSG(s.size() == 1, "bad call kind '" << s << "'");
+  ETHSHARD_INPUT_CHECK(s.size() == 1, "bad call kind '" << s << "'");
   switch (s[0]) {
     case 'T':
       return eth::CallKind::kTransfer;
@@ -36,7 +36,7 @@ eth::CallKind kind_from_code(const std::string& s) {
     case 'X':
       return eth::CallKind::kContractCreate;
     default:
-      ETHSHARD_CHECK_MSG(false, "bad call kind '" << s << "'");
+      ETHSHARD_INPUT_CHECK(false, "bad call kind '" << s << "'");
   }
   return eth::CallKind::kTransfer;  // unreachable
 }
@@ -44,23 +44,23 @@ eth::CallKind kind_from_code(const std::string& s) {
 std::uint64_t parse_u64(const std::string& s) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  ETHSHARD_CHECK_MSG(ec == std::errc{} && ptr == s.data() + s.size(),
-                     "bad integer field '" << s << "'");
+  ETHSHARD_INPUT_CHECK(ec == std::errc{} && ptr == s.data() + s.size(),
+                       "bad integer field '" << s << "'");
   return v;
 }
 
 eth::AccountId parse_account_id(const std::string& s) {
   const std::uint64_t id = parse_u64(s);
-  ETHSHARD_CHECK_MSG(id < kTraceAccountIdLimit,
-                     "account id out of range: " << s << " (limit "
-                                                 << kTraceAccountIdLimit
-                                                 << ")");
+  ETHSHARD_INPUT_CHECK(id < kTraceAccountIdLimit,
+                       "account id out of range: " << s << " (limit "
+                                                   << kTraceAccountIdLimit
+                                                   << ")");
   return id;
 }
 
 util::Timestamp parse_timestamp(const std::string& s) {
   const std::uint64_t ts = parse_u64(s);
-  ETHSHARD_CHECK_MSG(
+  ETHSHARD_INPUT_CHECK(
       ts <= static_cast<std::uint64_t>(
                 std::numeric_limits<util::Timestamp>::max()),
       "timestamp out of range: " << s);
@@ -137,16 +137,16 @@ struct TraceSource::Impl {
 
   explicit Impl(const std::string& path)
       : owned_file(path), reader(owned_file) {
-    ETHSHARD_CHECK_MSG(owned_file.good(), "cannot open " << path);
+    ETHSHARD_INPUT_CHECK(owned_file.good(), "cannot open " << path);
     init();
   }
 
   void init() {
     source_info.name = "trace";
     // Header.
-    ETHSHARD_CHECK_MSG(reader.read_row(fields), "empty trace");
-    ETHSHARD_CHECK_MSG(fields.size() == 8 && fields[0] == "block",
-                       "unrecognized trace header");
+    ETHSHARD_INPUT_CHECK(reader.read_row(fields), "empty trace");
+    ETHSHARD_INPUT_CHECK(fields.size() == 8 && fields[0] == "block",
+                         "unrecognized trace header");
   }
 
   void note_row(const Row& r) {
@@ -177,8 +177,8 @@ struct TraceSource::Impl {
       return true;
     }
     if (!reader.read_row(fields)) return false;
-    ETHSHARD_CHECK_MSG(fields.size() == 8,
-                       "trace row with " << fields.size() << " fields");
+    ETHSHARD_INPUT_CHECK(fields.size() == 8,
+                         "trace row with " << fields.size() << " fields");
     r.block = parse_u64(fields[0]);
     r.timestamp = parse_timestamp(fields[1]);
     r.tx_index = parse_u64(fields[2]);
@@ -209,33 +209,33 @@ struct TraceSource::Impl {
     Row r;
     while (fetch_row(r)) {
       if (!block_open) {
-        ETHSHARD_CHECK_MSG(r.block == blocks_emitted,
-                           "non-consecutive block numbers in trace");
+        ETHSHARD_INPUT_CHECK(r.block == blocks_emitted,
+                             "non-consecutive block numbers in trace");
         block.number = r.block;
         block.timestamp = r.timestamp;
-        ETHSHARD_CHECK_MSG(blocks_emitted == 0 ||
-                               block.timestamp >= last_block_ts,
-                           "timestamp regression at block " << r.block);
+        ETHSHARD_INPUT_CHECK(blocks_emitted == 0 ||
+                                 block.timestamp >= last_block_ts,
+                             "timestamp regression at block " << r.block);
         block_open = true;
       } else if (r.block != block.number) {
-        ETHSHARD_CHECK_MSG(r.block > block.number,
-                           "trace rows out of block order");
+        ETHSHARD_INPUT_CHECK(r.block > block.number,
+                             "trace rows out of block order");
         pending = r;  // first row of the next block
         have_pending = true;
         break;
       }
-      ETHSHARD_CHECK_MSG(r.timestamp == block.timestamp,
-                         "inconsistent timestamp within block " << r.block);
+      ETHSHARD_INPUT_CHECK(r.timestamp == block.timestamp,
+                           "inconsistent timestamp within block " << r.block);
       if (r.tx_index == block.transactions.size()) {
         eth::Transaction tx;
         tx.sender = r.from;
         block.transactions.push_back(std::move(tx));
       }
-      ETHSHARD_CHECK_MSG(r.tx_index + 1 == block.transactions.size(),
-                         "trace rows out of transaction order");
+      ETHSHARD_INPUT_CHECK(r.tx_index + 1 == block.transactions.size(),
+                           "trace rows out of transaction order");
       eth::Transaction& tx = block.transactions.back();
-      ETHSHARD_CHECK_MSG(r.call_index == tx.calls.size(),
-                         "trace rows out of call order");
+      ETHSHARD_INPUT_CHECK(r.call_index == tx.calls.size(),
+                           "trace rows out of call order");
       tx.calls.push_back(eth::Call{r.from, r.to, r.kind, r.value});
     }
 
@@ -264,6 +264,10 @@ const SourceInfo& TraceSource::info() const { return impl_->source_info; }
 
 bool TraceSource::next(eth::Block& out) { return impl_->next(out); }
 
+const eth::Hash256& TraceSource::last_hash() const {
+  return impl_->last_hash;
+}
+
 const eth::AccountRegistry* TraceSource::directory() const {
   return impl_->done ? &impl_->registry : nullptr;
 }
@@ -276,21 +280,22 @@ History read_trace(std::istream& in) {
   TraceSource source(in);
   History history;
   eth::Block block;
-  while (source.next(block)) history.chain.append(std::move(block));
+  while (source.next(block))
+    history.chain.append(std::move(block), source.last_hash());
   history.accounts = source.take_directory();
   return history;
 }
 
 void write_trace_file(const std::string& path, const History& history) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path << " for writing");
   write_trace(out, history);
-  ETHSHARD_CHECK_MSG(out.good(), "write failure on " << path);
+  ETHSHARD_INPUT_CHECK(out.good(), "write failure on " << path);
 }
 
 History read_trace_file(const std::string& path) {
   std::ifstream in(path);
-  ETHSHARD_CHECK_MSG(in.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(in.good(), "cannot open " << path);
   return read_trace(in);
 }
 

@@ -40,7 +40,7 @@ void write_trace(std::ostream& out, const History& history);
 /// registry is accumulated row-by-row (any C/X target is a contract,
 /// first_seen at first appearance) and becomes available through
 /// directory() once next() has returned false. Throws
-/// util::CheckFailure on malformed input, at the pull that hits it.
+/// util::InputError on malformed input, at the pull that hits it.
 class TraceSource final : public BlockSource {
  public:
   /// Borrowed stream; must outlive the source.
@@ -55,6 +55,10 @@ class TraceSource final : public BlockSource {
   /// Null until end-of-stream — account kinds are only known once every
   /// row has been scanned.
   const eth::AccountRegistry* directory() const override;
+
+  /// Hash of the block the last successful next() returned (computed as
+  /// the parent link of the following block).
+  const eth::Hash256& last_hash() const;
 
   /// Moves the completed registry out (History assembly). Call only
   /// after end-of-stream; the source is dead afterwards.
@@ -83,10 +87,10 @@ class TraceSourceFactory final : public BlockSourceFactory {
 
 /// Parses a trace written by write_trace (or hand-assembled in the same
 /// format). Reconstructs blocks (hash-linked), transactions and the
-/// account registry. Throws util::CheckFailure on malformed input.
+/// account registry. Throws util::InputError on malformed input.
 History read_trace(std::istream& in);
 
-/// File-path conveniences; throw util::CheckFailure when the file cannot
+/// File-path conveniences; throw util::InputError when the file cannot
 /// be opened.
 void write_trace_file(const std::string& path, const History& history);
 History read_trace_file(const std::string& path);

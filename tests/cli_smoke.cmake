@@ -96,29 +96,49 @@ file(WRITE ${METIS_PART} "${part_content}")
 run_cli("communication volume: 0" metis-eval --trace ${TRACE}
         --part ${METIS_PART} --shards 2)
 
-# Unknown method must fail cleanly.
-execute_process(
-  COMMAND ${CLI} simulate --trace ${TRACE} --method Bogus
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET ERROR_QUIET)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "simulate with a bogus method should fail")
-endif()
+# A user error must exit non-zero and name the problem on stderr, and it
+# must read as a user error: no "check failed" and no source path.
+function(expect_user_error expect_regex)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "ethshard ${ARGN} should fail")
+  endif()
+  if(NOT err MATCHES "${expect_regex}")
+    message(FATAL_ERROR
+      "ethshard ${ARGN}: expected stderr matching '${expect_regex}', got:\n${err}")
+  endif()
+  if(err MATCHES "check failed" OR err MATCHES "\\.cpp:")
+    message(FATAL_ERROR
+      "ethshard ${ARGN}: user error reported as an internal check:\n${err}")
+  endif()
+endfunction()
+
+# Unknown strategy names and spec keys fail with the offending token.
+expect_user_error("unknown strategy 'bogus' .*hashing"
+  simulate --trace ${TRACE} --method Bogus)
+expect_user_error("unknown key 'cut_flor' for strategy 'tr-metis'"
+  simulate --trace ${TRACE} --method "tr-metis:cut_flor=1")
 
 # Partitioner names match case-insensitively; an unknown one fails with
 # the known names listed instead of printing an empty table.
 run_cli("\nMLKP +[0-9]" partition --trace ${TRACE} --shards 4 --method mlkp)
-execute_process(
-  COMMAND ${CLI} partition --trace ${TRACE} --method Spectral
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET
-  ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "partition with an unknown method should fail")
-endif()
-if(NOT err MATCHES "unknown partitioner 'Spectral'.*MLKP")
-  message(FATAL_ERROR
-    "partition --method Spectral: expected the known partitioners, got:\n${err}")
-endif()
+expect_user_error("unknown partitioner 'Spectral'.*MLKP"
+  partition --trace ${TRACE} --method Spectral)
+
+# A trace cut off mid-row: the header, one whole row, then the first
+# three fields of the next.
+file(STRINGS ${TRACE} trace_lines LIMIT_COUNT 3)
+list(GET trace_lines 0 trace_header)
+list(GET trace_lines 1 trace_row)
+list(GET trace_lines 2 trace_next)
+string(REGEX MATCH "^[^,]*,[^,]*,[^,]*" trace_cut "${trace_next}")
+set(TRUNCATED "${WORKDIR}/truncated.csv")
+file(WRITE ${TRUNCATED} "${trace_header}\n${trace_row}\n${trace_cut}\n")
+expect_user_error("trace row with 3 fields"
+  simulate --trace ${TRUNCATED} --method Hashing --shards 2)
 
 message(STATUS "cli smoke test passed")

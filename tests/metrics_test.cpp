@@ -4,13 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
+#include "core/simulator.hpp"
+#include "core/strategies.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/summary.hpp"
 #include "partition/types.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/sim_time.hpp"
+#include "workload/generator.hpp"
 
 namespace ethshard::metrics {
 namespace {
@@ -275,6 +283,158 @@ TEST(WindowAccumulator, SelfOnlyWindowHasZeroCut) {
   EXPECT_EQ(acc.pair_interactions(), 0u);
   EXPECT_DOUBLE_EQ(acc.dynamic_edge_cut(), 0.0);
   EXPECT_FALSE(acc.empty());
+}
+
+// ----------------------------------- simulator metrics against brute force
+
+/// Delegates to a real strategy and records, from the hooks the simulator
+/// calls, what a from-scratch recompute needs: the shards every
+/// transaction's calls executed under (on_transaction runs after the
+/// calls, before any migration the inner strategy requests) and the
+/// partition in force at the end of the replay.
+class RecordingStrategy final : public core::ShardingStrategy {
+ public:
+  RecordingStrategy(std::unique_ptr<core::ShardingStrategy> inner,
+                    std::vector<eth::Transaction> txs)
+      : inner_(std::move(inner)), txs_(std::move(txs)) {}
+
+  std::string name() const override { return inner_->name(); }
+  partition::ShardId place(graph::Vertex v,
+                           std::span<const partition::ShardId> peers,
+                           const core::SimulatorEnv& env) override {
+    return inner_->place(v, peers, env);
+  }
+  bool should_repartition(const core::WindowSnapshot& snapshot,
+                          const core::SimulatorEnv& env) override {
+    return inner_->should_repartition(snapshot, env);
+  }
+  util::Timestamp no_repartition_before(
+      util::Timestamp last_repartition) const override {
+    return inner_->no_repartition_before(last_repartition);
+  }
+  // The simulator may relabel the shards of this result before applying
+  // it; edge-cut and balance do not depend on the labels.
+  Partition compute_partition(const core::SimulatorEnv& env) override {
+    final_ = inner_->compute_partition(env);
+    return final_;
+  }
+  void on_transaction(std::span<const graph::Vertex> involved,
+                      const core::SimulatorEnv& env,
+                      core::MigrationSink& sink) override {
+    ASSERT_LT(next_tx_, txs_.size());
+    const Partition& p = env.current_partition();
+    for (const eth::Call& c : txs_[next_tx_++].calls) {
+      if (c.from == c.to) continue;
+      ++pair_calls_;
+      if (p.shard_of(c.from) != p.shard_of(c.to)) ++cross_calls_;
+    }
+    inner_->on_transaction(involved, env, sink);
+    final_ = env.current_partition();
+  }
+
+  const Partition& final_partition() const { return final_; }
+  double cross_shard_fraction() const {
+    return pair_calls_ == 0 ? 0.0
+                            : static_cast<double>(cross_calls_) /
+                                  static_cast<double>(pair_calls_);
+  }
+
+ private:
+  std::unique_ptr<core::ShardingStrategy> inner_;
+  std::vector<eth::Transaction> txs_;
+  std::size_t next_tx_ = 0;
+  std::uint64_t pair_calls_ = 0;
+  std::uint64_t cross_calls_ = 0;
+  Partition final_{0, 1};
+};
+
+/// A small random history: `accounts` ids, a block about every hour for
+/// eight weeks (so the two-week periodic methods repartition several
+/// times), 1-3 transactions per block of 1-3 chained calls, a few of them
+/// self-calls.
+workload::History random_history(std::uint64_t seed, std::uint64_t accounts) {
+  util::Rng rng(seed);
+  workload::History h;
+  for (std::uint64_t a = 0; a < accounts; ++a)
+    h.accounts.create(eth::AccountKind::kExternallyOwned, 0);
+  util::Timestamp t = 0;
+  for (std::uint64_t number = 0; t < 8 * util::kWeek; ++number) {
+    eth::Block b;
+    b.number = number;
+    b.timestamp = t;
+    if (number > 0) b.parent_hash = h.chain.last().hash();
+    const std::uint64_t txs = 1 + rng.uniform(3);
+    for (std::uint64_t i = 0; i < txs; ++i) {
+      eth::Transaction tx;
+      tx.sender = rng.uniform(accounts);
+      eth::AccountId from = tx.sender;
+      const std::uint64_t calls = 1 + rng.uniform(3);
+      for (std::uint64_t c = 0; c < calls; ++c) {
+        const eth::AccountId to =
+            rng.bernoulli(0.05) ? from : rng.uniform(accounts);
+        tx.calls.push_back(eth::Call{from, to, eth::CallKind::kTransfer, 1});
+        from = to;
+      }
+      b.transactions.push_back(std::move(tx));
+    }
+    h.chain.append(std::move(b));
+    t += 1800 + static_cast<util::Timestamp>(rng.uniform(3600));
+  }
+  return h;
+}
+
+TEST(Consistency, SimulatorMetricsMatchBruteForce) {
+  // Eq. 1 (static edge-cut over the symmetrized cumulative graph), Eq. 2
+  // (static balance) and the executed cross-shard fraction, as the
+  // simulator maintains them incrementally, against a recompute from the
+  // history and the final partition, for every method on 20 seeds.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const workload::History h = random_history(seed, 30 + seed * 3);
+    std::vector<eth::Transaction> txs;
+    std::set<std::pair<eth::AccountId, eth::AccountId>> edges;
+    for (const eth::Block& b : h.chain.blocks())
+      for (const eth::Transaction& tx : b.transactions) {
+        txs.push_back(tx);
+        for (const eth::Call& c : tx.calls)
+          if (c.from != c.to)
+            edges.emplace(std::min(c.from, c.to), std::max(c.from, c.to));
+      }
+
+    for (const core::Method method : core::kAllMethods) {
+      const std::uint32_t k = 2 + static_cast<std::uint32_t>(seed % 3);
+      RecordingStrategy strategy(core::make_strategy(method, seed), txs);
+      core::SimulatorConfig cfg;
+      cfg.k = k;
+      cfg.verify_incremental = true;
+      const core::SimulationResult r =
+          core::ShardingSimulator(h, strategy, cfg).run();
+      SCOPED_TRACE(core::method_name(method) + " seed " +
+                   std::to_string(seed));
+
+      const Partition& p = strategy.final_partition();
+      std::uint64_t cut = 0;
+      for (const auto& [a, b] : edges)
+        if (p.shard_of(a) != p.shard_of(b)) ++cut;
+      EXPECT_DOUBLE_EQ(r.final_static_edge_cut,
+                       static_cast<double>(cut) /
+                           static_cast<double>(edges.size()));
+
+      std::vector<std::uint64_t> sizes(k, 0);
+      std::uint64_t placed = 0;
+      for (Vertex v = 0; v < p.size(); ++v) {
+        if (p.shard_of(v) == partition::kUnassigned) continue;
+        ++sizes[p.shard_of(v)];
+        ++placed;
+      }
+      EXPECT_DOUBLE_EQ(r.final_static_balance,
+                       static_cast<double>(
+                           *std::max_element(sizes.begin(), sizes.end())) *
+                           k / static_cast<double>(placed));
+
+      EXPECT_DOUBLE_EQ(r.executed_cross_shard_fraction,
+                       strategy.cross_shard_fraction());
+    }
+  }
 }
 
 }  // namespace

@@ -480,10 +480,10 @@ TEST_F(ObsTest, PoolWorkerSpansNestUnderTheirOwnThread) {
 
 TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   obs::set_trace_enabled(true);
-  obs::set_current_thread_lane("Stage B (apply+flush)");
+  obs::set_current_thread_lane("replay");
   std::thread producer([] {
-    obs::set_current_thread_lane("Stage A (aggregate)");
-    const obs::ScopedSpan span("aggregate");
+    obs::set_current_thread_lane("block source");
+    const obs::ScopedSpan span("pull");
   });
   producer.join();
   { const obs::ScopedSpan span("apply"); }
@@ -494,22 +494,22 @@ TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   ASSERT_EQ(trace.lanes.size(), 2u);
   // The two spans carry distinct thread ordinals, and each ordinal maps
   // to the lane named on that thread.
-  const obs::SpanRecord* agg = nullptr;
+  const obs::SpanRecord* pull = nullptr;
   const obs::SpanRecord* apply = nullptr;
   for (const obs::SpanRecord& s : trace.spans)
-    (s.path == "aggregate" ? agg : apply) = &s;
-  ASSERT_NE(agg, nullptr);
+    (s.path == "pull" ? pull : apply) = &s;
+  ASSERT_NE(pull, nullptr);
   ASSERT_NE(apply, nullptr);
-  EXPECT_NE(agg->thread, apply->thread);
-  EXPECT_EQ(trace.lanes.at(agg->thread), "Stage A (aggregate)");
-  EXPECT_EQ(trace.lanes.at(apply->thread), "Stage B (apply+flush)");
+  EXPECT_NE(pull->thread, apply->thread);
+  EXPECT_EQ(trace.lanes.at(pull->thread), "block source");
+  EXPECT_EQ(trace.lanes.at(apply->thread), "replay");
 
   std::ostringstream os;
   obs::write_trace_json(os, trace);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"Stage A (aggregate)\""), std::string::npos);
-  EXPECT_NE(json.find("\"Stage B (apply+flush)\""), std::string::npos);
+  EXPECT_NE(json.find("\"block source\""), std::string::npos);
+  EXPECT_NE(json.find("\"replay\""), std::string::npos);
 }
 
 TEST_F(ObsTest, TraceJsonEventsAreTimestampSorted) {

@@ -1,11 +1,9 @@
-// Tests for the execution substrate: gas accounting, Merkle commitments
-// and the world-state database (including value conservation and the
-// migration-cost model).
+// Tests for the execution substrate: gas accounting and the world-state
+// database (including value conservation and the migration-cost model).
 #include <gtest/gtest.h>
 
 #include "eth/chain.hpp"
 #include "eth/gas.hpp"
-#include "eth/merkle.hpp"
 #include "eth/state.hpp"
 #include "util/check.hpp"
 #include "workload/generator.hpp"
@@ -84,85 +82,6 @@ TEST(Gas, CascadeCostsAccumulate) {
   const std::uint64_t one = transaction_gas(tx);
   tx.calls.push_back(Call{5, 6, CallKind::kContractCall, 0});
   EXPECT_GT(transaction_gas(tx), one);
-}
-
-// ---------------------------------------------------------------- merkle
-
-std::vector<Hash256> make_leaves(std::size_t n) {
-  std::vector<Hash256> leaves;
-  for (std::size_t i = 0; i < n; ++i)
-    leaves.push_back(keccak256("leaf" + std::to_string(i)));
-  return leaves;
-}
-
-TEST(Merkle, SingleLeafRootIsLeaf) {
-  const auto leaves = make_leaves(1);
-  EXPECT_EQ(merkle_root(leaves), leaves[0]);
-}
-
-TEST(Merkle, EmptyRootIsDefined) {
-  EXPECT_EQ(merkle_root({}), keccak256(""));
-}
-
-TEST(Merkle, RootChangesWithAnyLeaf) {
-  auto leaves = make_leaves(8);
-  const Hash256 root = merkle_root(leaves);
-  leaves[3][0] ^= 0x01;
-  EXPECT_NE(merkle_root(leaves), root);
-}
-
-TEST(Merkle, RootDependsOnOrder) {
-  auto leaves = make_leaves(4);
-  const Hash256 root = merkle_root(leaves);
-  std::swap(leaves[0], leaves[1]);
-  EXPECT_NE(merkle_root(leaves), root);
-}
-
-TEST(Merkle, TreeRootMatchesFreeFunction) {
-  for (std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    const auto leaves = make_leaves(n);
-    const MerkleTree tree(leaves);
-    EXPECT_EQ(tree.root(), merkle_root(leaves)) << "n=" << n;
-  }
-}
-
-TEST(Merkle, ProofsVerifyForEveryLeaf) {
-  for (std::size_t n : {1u, 2u, 3u, 7u, 12u}) {
-    const auto leaves = make_leaves(n);
-    const MerkleTree tree(leaves);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto proof = tree.prove(i);
-      EXPECT_TRUE(MerkleTree::verify(leaves[i], i, proof, tree.root()))
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Merkle, TamperedProofFails) {
-  const auto leaves = make_leaves(8);
-  const MerkleTree tree(leaves);
-  auto proof = tree.prove(3);
-  proof[1].sibling[0] ^= 0xFF;
-  EXPECT_FALSE(MerkleTree::verify(leaves[3], 3, proof, tree.root()));
-}
-
-TEST(Merkle, WrongLeafFails) {
-  const auto leaves = make_leaves(8);
-  const MerkleTree tree(leaves);
-  const auto proof = tree.prove(3);
-  EXPECT_FALSE(MerkleTree::verify(leaves[4], 3, proof, tree.root()));
-}
-
-TEST(Merkle, WrongIndexFails) {
-  const auto leaves = make_leaves(8);
-  const MerkleTree tree(leaves);
-  const auto proof = tree.prove(3);
-  EXPECT_FALSE(MerkleTree::verify(leaves[3], 4, proof, tree.root()));
-}
-
-TEST(Merkle, OutOfRangeProofThrows) {
-  const MerkleTree tree(make_leaves(4));
-  EXPECT_THROW(tree.prove(4), util::CheckFailure);
 }
 
 // ----------------------------------------------------------------- state
@@ -262,26 +181,6 @@ TEST(StateDb, BlocksMustApplyInOrder) {
   db.apply(chain.block(1 - 1));
   EXPECT_THROW(db.apply(chain.block(0)), util::CheckFailure);  // replay
   EXPECT_NO_THROW(db.apply(chain.block(1)));
-}
-
-TEST(StateDb, StateRootChangesWithState) {
-  StateDb a;
-  StateDb b;
-  a.credit(1, 100);
-  b.credit(1, 100);
-  EXPECT_EQ(a.state_root(), b.state_root());
-  b.credit(2, 5);
-  EXPECT_NE(a.state_root(), b.state_root());
-}
-
-TEST(StateDb, StateRootIsInsertionOrderIndependent) {
-  StateDb a;
-  StateDb b;
-  a.credit(1, 100);
-  a.credit(2, 200);
-  b.credit(2, 200);
-  b.credit(1, 100);
-  EXPECT_EQ(a.state_root(), b.state_root());
 }
 
 TEST(StateDb, ExecutesGeneratedHistory) {

@@ -16,13 +16,15 @@ namespace {
 using namespace ethshard;
 using core::StrategyRegistry;
 
-/// Runs `fn`, expecting a CheckFailure whose message mentions `needle`.
-template <typename Fn>
+/// Runs `fn`, expecting an `Error` whose message mentions `needle`. Spec
+/// mistakes are user input (InputError); registry misuse is a programming
+/// error (CheckFailure).
+template <typename Error = util::InputError, typename Fn>
 void expect_failure_mentioning(Fn fn, const std::string& needle) {
   try {
     fn();
-    FAIL() << "expected CheckFailure mentioning '" << needle << "'";
-  } catch (const util::CheckFailure& e) {
+    FAIL() << "expected an exception mentioning '" << needle << "'";
+  } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message was: " << e.what();
   }
@@ -183,7 +185,7 @@ TEST(StrategyRegistryTest, RejectsDuplicateRegistration) {
   reg.add("mine", {"alias"}, [](core::SpecReader& r) {
     return std::make_unique<core::HashStrategy>(r.seed());
   });
-  expect_failure_mentioning(
+  expect_failure_mentioning<util::CheckFailure>(
       [&] {
         reg.add("alias", {}, [](core::SpecReader& r) {
           return std::make_unique<core::HashStrategy>(r.seed());

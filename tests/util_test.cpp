@@ -386,9 +386,9 @@ TEST(Args, Fallbacks) {
 
 TEST(Args, MalformedValuesThrow) {
   const ArgParser a = make_args({"--n", "abc", "--f", "1.2.3", "--b", "maybe"});
-  EXPECT_THROW(a.get_int("n", 0), CheckFailure);
-  EXPECT_THROW(a.get_double("f", 0), CheckFailure);
-  EXPECT_THROW(a.get_bool("b", false), CheckFailure);
+  EXPECT_THROW(a.get_int("n", 0), InputError);
+  EXPECT_THROW(a.get_double("f", 0), InputError);
+  EXPECT_THROW(a.get_bool("b", false), InputError);
 }
 
 TEST(Args, UnusedFlagDetection) {
@@ -508,6 +508,16 @@ TEST(Check, MessageIsIncluded) {
   } catch (const CheckFailure& e) {
     EXPECT_NE(std::string(e.what()).find("value was 42"),
               std::string::npos);
+  }
+}
+
+TEST(Check, InputCheckCarriesOnlyTheMessage) {
+  EXPECT_NO_THROW(ETHSHARD_INPUT_CHECK(1 + 1 == 2, "unused"));
+  try {
+    ETHSHARD_INPUT_CHECK(1 + 1 == 3, "bad value " << 42);
+    FAIL() << "expected throw";
+  } catch (const InputError& e) {
+    EXPECT_STREQ(e.what(), "bad value 42");  // no expression, no location
   }
 }
 

@@ -461,7 +461,7 @@ TEST(TraceIo, HandcraftedTrace) {
 
 TEST(TraceIo, RejectsBadHeader) {
   std::istringstream in("foo,bar\n");
-  EXPECT_THROW(read_trace(in), util::CheckFailure);
+  EXPECT_THROW(read_trace(in), util::InputError);
 }
 
 TEST(TraceIo, RejectsOutOfOrderBlocks) {
@@ -469,7 +469,7 @@ TEST(TraceIo, RejectsOutOfOrderBlocks) {
       "block,timestamp,tx_index,call_index,from,to,kind,value\n"
       "1,1000,0,0,0,1,T,5\n";
   std::istringstream in(csv);
-  EXPECT_THROW(read_trace(in), util::CheckFailure);
+  EXPECT_THROW(read_trace(in), util::InputError);
 }
 
 TEST(TraceIo, RejectsBadKind) {
@@ -477,7 +477,7 @@ TEST(TraceIo, RejectsBadKind) {
       "block,timestamp,tx_index,call_index,from,to,kind,value\n"
       "0,1000,0,0,0,1,Z,5\n";
   std::istringstream in(csv);
-  EXPECT_THROW(read_trace(in), util::CheckFailure);
+  EXPECT_THROW(read_trace(in), util::InputError);
 }
 
 // --------------------------------------------------------------- analysis
@@ -751,8 +751,8 @@ void expect_row_rejected(const std::string& row, const std::string& needle) {
   eth::Block block;
   try {
     source.next(block);
-    FAIL() << "expected CheckFailure mentioning '" << needle << "'";
-  } catch (const util::CheckFailure& e) {
+    FAIL() << "expected InputError mentioning '" << needle << "'";
+  } catch (const util::InputError& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message was: " << e.what();
   }

@@ -133,8 +133,8 @@ util::Timestamp parse_date(const std::string& s) {
   int y = 0;
   int m = 0;
   int d = 0;
-  ETHSHARD_CHECK_MSG(std::sscanf(s.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
-                     "bad date '" << s << "' (want YYYY-MM-DD)");
+  ETHSHARD_INPUT_CHECK(std::sscanf(s.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
+                       "bad date '" << s << "' (want YYYY-MM-DD)");
   return util::make_timestamp(y, m, d);
 }
 
@@ -184,7 +184,7 @@ std::unique_ptr<workload::BlockSourceFactory> make_source_factory(
 
 int cmd_generate(const util::ArgParser& args) {
   const std::string out = args.get("out", "");
-  ETHSHARD_CHECK_MSG(!out.empty(), "generate requires --out PATH");
+  ETHSHARD_INPUT_CHECK(!out.empty(), "generate requires --out PATH");
   const workload::History history = load_history(args);
   workload::write_trace_file(out, history);
   const workload::HistoryStats st = workload::stats_of(history);
@@ -388,9 +388,9 @@ int cmd_partition(const util::ArgParser& args) {
     for (const auto& m : methods) known += " " + m->name();
     std::erase_if(methods,
                   [&](const auto& m) { return !iequals(m->name(), only); });
-    ETHSHARD_CHECK_MSG(!methods.empty(),
-                       "unknown partitioner '" << only
-                           << "' — known partitioners:" << known);
+    ETHSHARD_INPUT_CHECK(!methods.empty(),
+                         "unknown partitioner '" << only
+                             << "' — known partitioners:" << known);
   }
 
   const workload::History history = load_history(args);
@@ -428,7 +428,7 @@ int cmd_dot(const util::ArgParser& args) {
       parse_date(args.get("from", "2015-09-01"));
   const util::Timestamp to = parse_date(args.get("to", "2015-10-01"));
   const std::uint64_t max_nodes = args.get_uint("max-nodes", 20);
-  ETHSHARD_CHECK_MSG(from < to, "--from must precede --to");
+  ETHSHARD_INPUT_CHECK(from < to, "--from must precede --to");
 
   graph::GraphBuilder builder;
   for (const eth::Block& b : history.chain.blocks()) {
@@ -440,7 +440,7 @@ int cmd_dot(const util::ArgParser& args) {
       }
   }
   const graph::Graph g = builder.build_directed();
-  ETHSHARD_CHECK_MSG(g.num_edges() > 0, "no interactions in window");
+  ETHSHARD_INPUT_CHECK(g.num_edges() > 0, "no interactions in window");
 
   graph::Vertex hub = 0;
   for (graph::Vertex v = 0; v < g.num_vertices(); ++v)
@@ -486,11 +486,11 @@ graph::Graph final_graph(const workload::History& history) {
 
 int cmd_metis_export(const util::ArgParser& args) {
   const std::string out_path = args.get("out", "");
-  ETHSHARD_CHECK_MSG(!out_path.empty(), "metis-export requires --out PATH");
+  ETHSHARD_INPUT_CHECK(!out_path.empty(), "metis-export requires --out PATH");
   const workload::History history = load_history(args);
   const graph::Graph g = final_graph(history);
   std::ofstream out(out_path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << out_path);
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << out_path);
   partition::write_metis_graph(out, g);
   std::printf("wrote %s: %llu vertices, %llu edges (run: gpmetis %s <k>)\n",
               out_path.c_str(),
@@ -502,13 +502,13 @@ int cmd_metis_export(const util::ArgParser& args) {
 
 int cmd_metis_eval(const util::ArgParser& args) {
   const std::string part_path = args.get("part", "");
-  ETHSHARD_CHECK_MSG(!part_path.empty(), "metis-eval requires --part PATH");
+  ETHSHARD_INPUT_CHECK(!part_path.empty(), "metis-eval requires --part PATH");
   const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
   const workload::History history = load_history(args);
   const graph::Graph g = final_graph(history);
 
   std::ifstream in(part_path);
-  ETHSHARD_CHECK_MSG(in.good(), "cannot open " << part_path);
+  ETHSHARD_INPUT_CHECK(in.good(), "cannot open " << part_path);
   const partition::Partition p =
       partition::read_metis_partition(in, g.num_vertices(), k);
   std::fputs(partition::to_string(
@@ -542,7 +542,7 @@ int cmd_compare(const util::ArgParser& args) {
   while (std::getline(ss, token, ','))
     cfg.shard_counts.push_back(
         static_cast<std::uint32_t>(std::stoul(token)));
-  ETHSHARD_CHECK_MSG(!cfg.shard_counts.empty(), "empty --shards list");
+  ETHSHARD_INPUT_CHECK(!cfg.shard_counts.empty(), "empty --shards list");
 
   const auto runs = stream ? core::run_experiment(*sources, cfg)
                            : core::run_experiment(*history, cfg);
@@ -555,8 +555,8 @@ int cmd_compare(const util::ArgParser& args) {
 int cmd_import(const util::ArgParser& args) {
   const std::string traces = args.get("traces", "");
   const std::string out = args.get("out", "");
-  ETHSHARD_CHECK_MSG(!traces.empty() && !out.empty(),
-                     "import requires --traces PATH and --out PATH");
+  ETHSHARD_INPUT_CHECK(!traces.empty() && !out.empty(),
+                       "import requires --traces PATH and --out PATH");
   const workload::ImportResult r =
       workload::import_bigquery_traces_file(traces);
   workload::write_trace_file(out, r.history);
@@ -677,8 +677,8 @@ int main(int argc, char** argv) {
           v.detail = "peak rss exceeded the --max-rss-mb budget";
         run.invariants.push_back(v);
         std::ofstream vout(verdict_out);
-        ETHSHARD_CHECK_MSG(vout.good(), "cannot open --verdict-out file "
-                                            << verdict_out);
+        ETHSHARD_INPUT_CHECK(vout.good(), "cannot open --verdict-out file "
+                                              << verdict_out);
         scenario::write_report_json(report, vout);
         std::fprintf(stderr, "[ethshard] verdict -> %s\n",
                      verdict_out.c_str());
