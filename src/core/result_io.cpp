@@ -63,7 +63,7 @@ void write_summary_csv(std::ostream& out, const SimulationResult& result) {
 namespace {
 std::ofstream open_or_throw(const std::string& path) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path << " for writing");
   return out;
 }
 }  // namespace

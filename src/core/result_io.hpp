@@ -23,7 +23,7 @@ void write_repartitions_csv(std::ostream& out,
 /// One-row run summary (method, k, final metrics, move totals).
 void write_summary_csv(std::ostream& out, const SimulationResult& result);
 
-/// File conveniences; throw util::CheckFailure if the file cannot open.
+/// File conveniences; throw util::InputError if the file cannot open.
 void write_windows_csv_file(const std::string& path,
                             const SimulationResult& result);
 void write_repartitions_csv_file(const std::string& path,

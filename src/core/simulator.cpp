@@ -35,16 +35,16 @@ class ShardingSimulator::Env final : public SimulatorEnv {
 
   WindowGraph window_graph() const override {
     // Active = touched by a call this window (endpoints always accrue
-    // activity weight). The induced symmetrized snapshot comes straight
-    // from the window builder's undirected adjacency, through scratch
-    // buffers that persist across windows.
+    // activity weight), in ascending id. The induced symmetrized snapshot
+    // comes from the cumulative builder's window pairs, weighted by window
+    // activity, through scratch buffers that persist across windows.
     std::vector<graph::Vertex>& active = sim_.window_active_;
     active.clear();
-    for (graph::Vertex v = 0; v < sim_.window_.num_vertices(); ++v)
-      if (sim_.window_.vertex_weight(v) > 0) active.push_back(v);
+    for (graph::Vertex v = 0; v < sim_.window_activity_.size(); ++v)
+      if (sim_.window_activity_[v] > 0) active.push_back(v);
     WindowGraph wg;
-    wg.undirected = sim_.window_.build_undirected_induced(
-        active, sim_.window_old_to_new_);
+    wg.undirected = sim_.cumulative_.build_window_induced(
+        active, sim_.window_activity_, sim_.window_old_to_new_);
     wg.to_global = active;
     return wg;
   }
@@ -125,9 +125,9 @@ void ShardingSimulator::ensure_vertex(graph::Vertex v) {
   while (part_.size() <= v) {
     part_.append(partition::kUnassigned);
     activity_.push_back(0);
+    window_activity_.push_back(0);
   }
   cumulative_.ensure_vertices(v + 1, /*default_weight=*/1);
-  window_.ensure_vertices(v + 1, /*default_weight=*/0);
 }
 
 void ShardingSimulator::place_vertex(
@@ -198,24 +198,23 @@ void ShardingSimulator::process_transaction(const eth::Transaction& tx) {
     if (c.to != c.from) window_metrics_.record_activity(st, load);
 
     activity_[c.from] += load;
+    window_activity_[c.from] += load;
     shard_loads_[sf] += load;
     if (c.to != c.from) {
       activity_[c.to] += load;
+      window_activity_[c.to] += load;
       shard_loads_[st] += load;
     }
 
     // Static-cut bookkeeping counts distinct *undirected* non-loop edges,
     // matching metrics::static_edge_cut over the symmetrized cumulative
     // graph (a→b and b→a are one edge; self-loops can never be cut).
+    // The same call also lands in the builder's window weights.
     const graph::EdgeInsert ins = cumulative_.add_edge(c.from, c.to, 1);
     if (ins.new_undirected_edge) {
       ++distinct_edges_;
       if (sf != st) ++cut_edges_;
     }
-
-    window_.add_edge(c.from, c.to, 1);
-    window_.add_vertex_weight(c.from, load);
-    if (c.to != c.from) window_.add_vertex_weight(c.to, load);
 
     ++executed_total_;
     if (c.from != c.to) {
@@ -294,6 +293,25 @@ void ShardingSimulator::verify_incremental_state() {
       distinct_edges_ == cumulative_.num_undirected_edges(),
       "distinct-edge count diverged: " << distinct_edges_ << " vs "
                                        << cumulative_.num_undirected_edges());
+}
+
+void ShardingSimulator::verify_window_state() {
+  const graph::Weight window_pair_calls = cumulative_.verify_window();
+  ETHSHARD_CHECK_MSG(window_pair_calls == executed_pair_ - window_pair_base_,
+                     "window edge weight diverged: "
+                         << window_pair_calls << " vs "
+                         << executed_pair_ - window_pair_base_
+                         << " non-self calls since the last repartition");
+  graph::Weight window_load = 0;
+  for (const graph::Weight w : window_activity_) window_load += w;
+  graph::Weight load = 0;
+  for (const graph::Weight w : activity_) load += w;
+  ETHSHARD_CHECK_MSG(window_load == load - window_load_base_,
+                     "window activity diverged: "
+                         << window_load << " vs " << load - window_load_base_
+                         << " load since the last repartition");
+  window_pair_base_ = executed_pair_;
+  window_load_base_ = load;
 }
 
 void ShardingSimulator::flush_window(util::Timestamp window_end) {
@@ -433,12 +451,13 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
     verify_incremental_state();
     ETHSHARD_CHECK_MSG(cumulative_snapshot() == cumulative_.build_undirected(),
                        "cached cumulative snapshot diverged");
+    verify_window_state();
   }
 
   // A fresh activity window begins at every repartition (§II-C R-METIS:
   // the reduced graph "starts at the last (re)partitioning").
-  window_.reset_edges(/*default_vertex_weight=*/0);
-  window_.ensure_vertices(part_.size(), 0);
+  cumulative_.start_window();
+  std::fill(window_activity_.begin(), window_activity_.end(), 0);
 
   last_repartition_ = snapshot.window_end;
   result_.repartitions.push_back(RepartitionEvent{

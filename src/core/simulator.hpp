@@ -197,6 +197,11 @@ class ShardingSimulator {
   /// or vertices were added since the last call.
   const graph::Graph& cumulative_snapshot() const;
   void verify_incremental_state();
+  /// At a repartition, before the window restarts: checks the builder's
+  /// window bookkeeping, that the window edge weight equals the non-self
+  /// calls since the last repartition and that window_activity_ sums to
+  /// the load since then, then moves both baselines to now.
+  void verify_window_state();
   double current_static_balance() const;
 
   // History-adapter storage: the History constructor wraps the aliased
@@ -208,12 +213,13 @@ class ShardingSimulator {
   SimulatorConfig cfg_;
 
   partition::Partition part_;
-  graph::GraphBuilder cumulative_;  // unit vertex weights
-  // Window-activity vertex weights. Only whole-window snapshots are ever
-  // taken from it, so it skips per-vertex neighbor tracking (two list
-  // appends per new pair saved on the per-call hot path).
-  graph::GraphBuilder window_{/*track_und_neighbors=*/false};
+  // The one interaction graph, with unit vertex weights. Its window
+  // weights hold the pairs since the last repartition.
+  graph::GraphBuilder cumulative_;
   std::vector<graph::Weight> activity_;  // cumulative per-vertex activity
+  // Per-vertex activity since the last repartition: the window graph's
+  // vertex weights, and its active set (non-zero entries).
+  std::vector<graph::Weight> window_activity_;
 
   std::vector<std::uint64_t> shard_counts_;
   std::vector<graph::Weight> shard_loads_;
@@ -246,6 +252,11 @@ class ShardingSimulator {
   std::uint64_t executed_total_ = 0;
   std::uint64_t executed_pair_ = 0;
   std::uint64_t executed_cross_ = 0;
+
+  // verify_incremental only: executed_pair_ and the summed activity_ at
+  // the last repartition, the baselines of verify_window_state.
+  std::uint64_t window_pair_base_ = 0;
+  graph::Weight window_load_base_ = 0;
 
   // Per-transaction involved-account dedup: epoch-stamped membership
   // check (O(1) per endpoint) replacing the old std::find scan, which

@@ -23,7 +23,7 @@ TelemetrySink::TelemetrySink(std::ostream& out) : out_(&out) {}
 std::unique_ptr<TelemetrySink> TelemetrySink::open(
     const std::string& path) {
   auto file = std::make_unique<std::ofstream>(path);
-  ETHSHARD_CHECK_MSG(file->good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(file->good(), "cannot open " << path);
   auto sink = std::make_unique<TelemetrySink>(*file);
   sink->owned_ = std::move(file);
   return sink;

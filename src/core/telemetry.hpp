@@ -86,7 +86,7 @@ class TelemetrySink : public TelemetryConsumer {
  public:
   /// Streams to `out`, which must outlive the sink.
   explicit TelemetrySink(std::ostream& out);
-  /// Opens `path` for writing (truncates); throws util::CheckFailure if
+  /// Opens `path` for writing (truncates); throws util::InputError if
   /// the file cannot open.
   static std::unique_ptr<TelemetrySink> open(const std::string& path);
 

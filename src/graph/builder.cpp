@@ -25,7 +25,7 @@ Vertex GraphBuilder::add_vertex(Weight weight) {
   const Vertex id = vwgt_.size();
   ETHSHARD_CHECK_MSG(id < kIdLimit, "vertex id space exhausted");
   vwgt_.push_back(weight);
-  if (track_und_) und_.emplace_back();
+  und_.emplace_back();
   return id;
 }
 
@@ -38,16 +38,20 @@ EdgeInsert GraphBuilder::add_edge(Vertex u, Vertex v, Weight weight) {
   ETHSHARD_CHECK(weight > 0);
   const Vertex lo = std::min(u, v);
   const Vertex hi = std::max(u, v);
-  PairWeights& pw = pair_weight_[key(lo, hi)];  // the single hash probe
+  // The single hash probe serves the cumulative and the window weights.
+  PairSlot& slot = *pair_weight_.try_emplace(key(lo, hi)).first;
+  PairWeights& pw = slot.second;
 
   EdgeInsert ins;
-  if (u != v && pw.fwd == 0 && pw.rev == 0) {
-    if (track_und_) {
+  if (u != v) {
+    if (pw.fwd == 0 && pw.rev == 0) {
       und_[u].push_back(v);
       und_[v].push_back(u);
+      ++num_und_edges_;
+      ins.new_undirected_edge = true;
     }
-    ++num_und_edges_;
-    ins.new_undirected_edge = true;
+    if (pw.window == 0) window_pairs_.push_back(&slot);
+    pw.window += weight;
   }
   Weight& dir = (u == lo) ? pw.fwd : pw.rev;
   if (dir == 0) {
@@ -71,8 +75,6 @@ Weight GraphBuilder::edge_weight(Vertex u, Vertex v) const {
 }
 
 std::span<const Vertex> GraphBuilder::undirected_neighbors(Vertex v) const {
-  ETHSHARD_CHECK_MSG(track_und_,
-                     "builder constructed without neighbor tracking");
   return {und_[v].data(), und_[v].size()};
 }
 
@@ -129,26 +131,27 @@ Graph GraphBuilder::build_undirected() const {
                          /*directed=*/false);
 }
 
-Graph GraphBuilder::build_undirected_induced(
-    std::span<const Vertex> vertices, std::vector<Vertex>& old_to_new) const {
+Graph GraphBuilder::build_window_induced(
+    std::span<const Vertex> vertices, std::span<const Weight> vertex_weights,
+    std::vector<Vertex>& old_to_new) const {
   if (old_to_new.size() < vwgt_.size())
     old_to_new.resize(vwgt_.size(), Graph::kInvalid);
-  for (std::uint64_t i = 0; i < vertices.size(); ++i) {
+  const std::uint64_t sub_n = vertices.size();
+  std::vector<Weight> vw(sub_n);
+  for (std::uint64_t i = 0; i < sub_n; ++i) {
     const Vertex v = vertices[i];
-    ETHSHARD_CHECK(v < vwgt_.size());
+    ETHSHARD_CHECK(v < vwgt_.size() && v < vertex_weights.size());
     ETHSHARD_CHECK_MSG(old_to_new[v] == Graph::kInvalid,
                        "duplicate vertex or dirty scratch");
     old_to_new[v] = i;
+    vw[i] = vertex_weights[v];
   }
 
-  const std::uint64_t sub_n = vertices.size();
+  // Window pairs are never self-loops, and each appears once.
   std::vector<std::uint64_t> deg(sub_n, 0);
-  for (const auto& [packed, pw] : pair_weight_) {
-    const Vertex lo = packed >> 32;
-    const Vertex hi = packed & kLoMask;
-    if (lo == hi) continue;
-    const Vertex nl = old_to_new[lo];
-    const Vertex nh = old_to_new[hi];
+  for (const PairSlot* slot : window_pairs_) {
+    const Vertex nl = old_to_new[slot->first >> 32];
+    const Vertex nh = old_to_new[slot->first & kLoMask];
     if (nl == Graph::kInvalid || nh == Graph::kInvalid) continue;
     ++deg[nl];
     ++deg[nh];
@@ -158,17 +161,12 @@ Graph GraphBuilder::build_undirected_induced(
   for (std::uint64_t i = 0; i < sub_n; ++i) xadj[i + 1] = xadj[i] + deg[i];
 
   std::vector<Arc> adj(xadj[sub_n]);
-  std::vector<Weight> vw(sub_n);
-  for (std::uint64_t i = 0; i < sub_n; ++i) vw[i] = vwgt_[vertices[i]];
   std::vector<std::uint64_t> fill(xadj.begin(), xadj.end() - 1);
-  for (const auto& [packed, pw] : pair_weight_) {
-    const Vertex lo = packed >> 32;
-    const Vertex hi = packed & kLoMask;
-    if (lo == hi) continue;
-    const Vertex nl = old_to_new[lo];
-    const Vertex nh = old_to_new[hi];
+  for (const PairSlot* slot : window_pairs_) {
+    const Vertex nl = old_to_new[slot->first >> 32];
+    const Vertex nh = old_to_new[slot->first & kLoMask];
     if (nl == Graph::kInvalid || nh == Graph::kInvalid) continue;
-    const Weight w = pw.fwd + pw.rev;
+    const Weight w = slot->second.window;
     adj[fill[nl]++] = Arc{nh, w};
     adj[fill[nh]++] = Arc{nl, w};
   }
@@ -178,18 +176,42 @@ Graph GraphBuilder::build_undirected_induced(
                          /*directed=*/false);
 }
 
-void GraphBuilder::reset_edges(Weight default_vertex_weight) {
-  std::fill(vwgt_.begin(), vwgt_.end(), default_vertex_weight);
-  for (auto& list : und_) list.clear();
-  pair_weight_.clear();
-  total_edge_weight_ = 0;
-  num_dir_edges_ = 0;
-  num_und_edges_ = 0;
+void GraphBuilder::start_window() {
+  for (PairSlot* slot : window_pairs_) slot->second.window = 0;
+  window_pairs_.clear();
+}
+
+Weight GraphBuilder::verify_window() const {
+  std::vector<const PairSlot*> listed(window_pairs_.begin(),
+                                      window_pairs_.end());
+  std::sort(listed.begin(), listed.end());
+  ETHSHARD_CHECK_MSG(
+      std::adjacent_find(listed.begin(), listed.end()) == listed.end(),
+      "a window pair is listed twice");
+  Weight total = 0;
+  std::uint64_t nonzero = 0;
+  for (const PairSlot& slot : pair_weight_) {
+    if (slot.second.window == 0) continue;
+    ++nonzero;
+    total += slot.second.window;
+    ETHSHARD_CHECK_MSG(
+        std::binary_search(listed.begin(), listed.end(), &slot),
+        "pair (" << (slot.first >> 32) << ", " << (slot.first & kLoMask)
+                 << ") has window weight " << slot.second.window
+                 << " but is not on the touched-pair list");
+  }
+  // Every non-zero pair is listed and the list has no duplicates, so
+  // equal sizes leave no listed pair with a zero window weight.
+  ETHSHARD_CHECK_MSG(nonzero == listed.size(),
+                     listed.size() - nonzero
+                         << " listed window pairs have zero window weight");
+  return total;
 }
 
 void GraphBuilder::clear() {
   vwgt_.clear();
   und_.clear();
+  window_pairs_.clear();
   pair_weight_.clear();
   total_edge_weight_ = 0;
   num_dir_edges_ = 0;

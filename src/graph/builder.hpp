@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -34,20 +35,20 @@ struct EdgeInsert {
 /// (min, max) orientation, so accumulating an edge costs a single probe
 /// and snapshots need no per-edge probes at all: the build methods walk
 /// the pair map once (the canonical key encodes both endpoints) and rely
-/// on Graph::from_csr's arc sort for deterministic output.
-///
-/// Per-vertex adjacency is opt-in: a builder constructed with
-/// `track_und_neighbors = true` (the default) additionally keeps each
-/// vertex's distinct undirected neighbors as a live list, which
+/// on Graph::from_csr's arc sort for deterministic output. Each vertex's
+/// distinct undirected neighbors are kept as a live list, which
 /// `undirected_neighbors` exposes for O(deg) incremental metric
-/// maintenance. Builders that only ever need whole-graph snapshots (the
-/// simulator's per-window activity graph) pass false and skip the two
-/// random-access list appends per new pair on the ingest hot path.
+/// maintenance.
+///
+/// The same probe also maintains a *window*: the symmetrized weight each
+/// non-loop pair gained since the last start_window(), kept in the pair's
+/// own entry, plus a list of the pairs whose window weight is non-zero.
+/// The window graph is therefore a time slice of this one graph (§II-C:
+/// R-METIS partitions "the graph since the last (re)partitioning"), and
+/// both starting a window and building its snapshot cost O(window pairs),
+/// not O(all pairs).
 class GraphBuilder {
  public:
-  explicit GraphBuilder(bool track_und_neighbors = true)
-      : track_und_(track_und_neighbors) {}
-
   /// Adds a vertex with the given initial weight; returns its id.
   Vertex add_vertex(Weight weight = 1);
 
@@ -76,9 +77,8 @@ class GraphBuilder {
   Weight vertex_weight(Vertex v) const { return vwgt_[v]; }
 
   /// Distinct non-loop neighbors of v in the symmetrized view, in
-  /// insertion order. Valid until the next mutating call. Requires
-  /// track_und_neighbors. (Weights live in the shared pair map; use
-  /// edge_weight / the build methods.)
+  /// insertion order. Valid until the next mutating call. (Weights live in
+  /// the shared pair map; use edge_weight / the build methods.)
   std::span<const Vertex> undirected_neighbors(Vertex v) const;
 
   /// Immutable directed snapshot (CSR). O(n + m).
@@ -89,40 +89,52 @@ class GraphBuilder {
   /// by partitioners. O(n + m), no hash probes.
   Graph build_undirected() const;
 
-  /// Symmetrized snapshot induced on `vertices` (old ids; duplicates are
-  /// a precondition violation): arcs to vertices outside the set are
-  /// dropped, ids are renumbered to [0, vertices.size()) in the given
-  /// order, vertex weights are carried over. `old_to_new` is caller-owned
-  /// scratch so repeated calls do not reallocate; it must contain only
-  /// Graph::kInvalid entries on entry (any size — it grows on demand) and
-  /// is restored to that state before returning.
-  /// O(vertices.size() + distinct pairs in the builder).
-  Graph build_undirected_induced(std::span<const Vertex> vertices,
-                                 std::vector<Vertex>& old_to_new) const;
+  /// Symmetrized snapshot of the current window induced on `vertices`
+  /// (old ids; duplicates are a precondition violation): edge weights are
+  /// the pairs' window weights, window pairs with an endpoint outside the
+  /// set are dropped, ids are renumbered to [0, vertices.size()) in the
+  /// given order, and new vertex i weighs `vertex_weights[vertices[i]]`.
+  /// `old_to_new` is caller-owned scratch so repeated calls do not
+  /// reallocate; it must contain only Graph::kInvalid entries on entry
+  /// (any size — it grows on demand) and is restored to that state before
+  /// returning. O(vertices.size() + window pairs).
+  Graph build_window_induced(std::span<const Vertex> vertices,
+                             std::span<const Weight> vertex_weights,
+                             std::vector<Vertex>& old_to_new) const;
 
-  /// Drops every edge and resets all vertex weights to `default_weight`,
-  /// keeping the vertex count *and* per-vertex list capacity — the cheap
-  /// way to start a fresh activity window without reallocating adjacency
-  /// for every known vertex.
-  void reset_edges(Weight default_vertex_weight = 0);
+  /// Starts a fresh window: zeroes the window weight of every pair
+  /// touched since the previous call. Cumulative weights are untouched.
+  void start_window();
+
+  /// Debug cross-check of the window bookkeeping, O(pairs log pairs):
+  /// throws CheckFailure unless a pair has a non-zero window weight
+  /// exactly when it is on the touched-pair list. Returns the summed
+  /// window weight (= non-loop interactions since start_window()).
+  Weight verify_window() const;
 
   void clear();
 
  private:
   /// Both directions of the pair (min, max): fwd = min→max (and the full
   /// weight of a self-loop), rev = max→min.
+  /// `window` is the symmetrized (fwd + rev) weight added since the last
+  /// start_window(); always 0 for a self-loop.
   struct PairWeights {
     Weight fwd = 0;
     Weight rev = 0;
+    Weight window = 0;
   };
+  using PairSlot = std::pair<const std::uint64_t, PairWeights>;
 
   static std::uint64_t key(Vertex u, Vertex v);
   const PairWeights* find_pair(Vertex u, Vertex v) const;
 
-  bool track_und_;
   std::vector<Weight> vwgt_;
   std::vector<std::vector<Vertex>> und_;  // distinct undirected neighbors
   std::unordered_map<std::uint64_t, PairWeights> pair_weight_;
+  // Entries whose window weight is non-zero. unordered_map keeps element
+  // addresses stable across rehashes; clear() empties this list with it.
+  std::vector<PairSlot*> window_pairs_;
   Weight total_edge_weight_ = 0;
   std::uint64_t num_dir_edges_ = 0;
   std::uint64_t num_und_edges_ = 0;

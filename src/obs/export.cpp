@@ -204,28 +204,28 @@ void write_trace_json(std::ostream& out, const TraceSnapshot& snapshot) {
 void write_metrics_json_file(const std::string& path,
                              const MetricsSnapshot& snapshot) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path);
   write_metrics_json(out, snapshot);
 }
 
 void write_metrics_csv_file(const std::string& path,
                             const MetricsSnapshot& snapshot) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path);
   write_metrics_csv(out, snapshot);
 }
 
 void write_trace_json_file(const std::string& path,
                            const std::vector<SpanRecord>& spans) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path);
   write_trace_json(out, spans);
 }
 
 void write_trace_json_file(const std::string& path,
                            const TraceSnapshot& snapshot) {
   std::ofstream out(path);
-  ETHSHARD_CHECK_MSG(out.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(out.good(), "cannot open " << path);
   write_trace_json(out, snapshot);
 }
 

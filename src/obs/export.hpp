@@ -36,7 +36,7 @@ void write_trace_json(std::ostream& out,
 /// downstream line scanners stay simple.
 void write_trace_json(std::ostream& out, const TraceSnapshot& snapshot);
 
-/// File conveniences; throw util::CheckFailure if the file cannot open.
+/// File conveniences; throw util::InputError if the file cannot open.
 void write_metrics_json_file(const std::string& path,
                              const MetricsSnapshot& snapshot);
 void write_metrics_csv_file(const std::string& path,

@@ -34,7 +34,7 @@ std::vector<std::uint64_t> parse_numbers(const std::string& line) {
   std::istringstream is(line);
   std::uint64_t v;
   while (is >> v) out.push_back(v);
-  ETHSHARD_CHECK_MSG(is.eof(), "metis: non-numeric token in '" << line
+  ETHSHARD_INPUT_CHECK(is.eof(), "metis: non-numeric token in '" << line
                                                                << "'");
   return out;
 }
@@ -55,14 +55,14 @@ void write_metis_graph(std::ostream& out, const graph::Graph& g) {
 
 graph::Graph read_metis_graph(std::istream& in) {
   std::string line;
-  ETHSHARD_CHECK_MSG(next_line(in, line), "metis: empty graph file");
+  ETHSHARD_INPUT_CHECK(next_line(in, line), "metis: empty graph file");
   const auto header = parse_numbers(line);
-  ETHSHARD_CHECK_MSG(header.size() >= 2 && header.size() <= 3,
+  ETHSHARD_INPUT_CHECK(header.size() >= 2 && header.size() <= 3,
                      "metis: bad header");
   const std::uint64_t n = header[0];
   const std::uint64_t m = header[1];
   const std::uint64_t fmt = header.size() == 3 ? header[2] : 0;
-  ETHSHARD_CHECK_MSG(fmt == 0 || fmt == 1 || fmt == 10 || fmt == 11,
+  ETHSHARD_INPUT_CHECK(fmt == 0 || fmt == 1 || fmt == 10 || fmt == 11,
                      "metis: unsupported fmt " << fmt);
   const bool has_vwgt = fmt >= 10;
   const bool has_ewgt = (fmt % 10) == 1;
@@ -71,21 +71,21 @@ graph::Graph read_metis_graph(std::istream& in) {
   std::vector<graph::Weight> vwgt(n, 1);
 
   for (std::uint64_t v = 0; v < n; ++v) {
-    ETHSHARD_CHECK_MSG(next_line(in, line, /*allow_empty=*/true),
+    ETHSHARD_INPUT_CHECK(next_line(in, line, /*allow_empty=*/true),
                        "metis: truncated at vertex " << v + 1);
     const auto nums = parse_numbers(line);
     std::size_t i = 0;
     if (has_vwgt) {
-      ETHSHARD_CHECK_MSG(!nums.empty(), "metis: missing vertex weight");
+      ETHSHARD_INPUT_CHECK(!nums.empty(), "metis: missing vertex weight");
       vwgt[v] = nums[i++];
     }
     while (i < nums.size()) {
       const std::uint64_t neighbor = nums[i++];
-      ETHSHARD_CHECK_MSG(neighbor >= 1 && neighbor <= n,
+      ETHSHARD_INPUT_CHECK(neighbor >= 1 && neighbor <= n,
                          "metis: neighbor index out of range");
       graph::Weight w = 1;
       if (has_ewgt) {
-        ETHSHARD_CHECK_MSG(i < nums.size(),
+        ETHSHARD_INPUT_CHECK(i < nums.size(),
                            "metis: dangling edge weight");
         w = nums[i++];
       }
@@ -96,10 +96,10 @@ graph::Graph read_metis_graph(std::istream& in) {
   graph::Graph g = graph::Graph::from_adjacency(std::move(adjacency),
                                                 std::move(vwgt),
                                                 /*directed=*/false);
-  ETHSHARD_CHECK_MSG(g.num_edges() == m,
+  ETHSHARD_INPUT_CHECK(g.num_edges() == m,
                      "metis: header claims " << m << " edges, file lists "
                                              << g.num_edges());
-  ETHSHARD_CHECK_MSG(g.check_symmetric(),
+  ETHSHARD_INPUT_CHECK(g.check_symmetric(),
                      "metis: adjacency is not symmetric");
   return g;
 }
@@ -111,13 +111,13 @@ Partition read_metis_partition(std::istream& in,
   std::string line;
   std::uint64_t v = 0;
   while (next_line(in, line)) {
-    ETHSHARD_CHECK_MSG(v < num_vertices, "metis: too many partition lines");
+    ETHSHARD_INPUT_CHECK(v < num_vertices, "metis: too many partition lines");
     const auto nums = parse_numbers(line);
-    ETHSHARD_CHECK_MSG(nums.size() == 1, "metis: bad partition line");
-    ETHSHARD_CHECK_MSG(nums[0] < k, "metis: shard id out of range");
+    ETHSHARD_INPUT_CHECK(nums.size() == 1, "metis: bad partition line");
+    ETHSHARD_INPUT_CHECK(nums[0] < k, "metis: shard id out of range");
     p.assign(v++, static_cast<ShardId>(nums[0]));
   }
-  ETHSHARD_CHECK_MSG(v == num_vertices,
+  ETHSHARD_INPUT_CHECK(v == num_vertices,
                      "metis: expected " << num_vertices
                                         << " partition lines, got " << v);
   return p;

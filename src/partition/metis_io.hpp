@@ -26,12 +26,12 @@ void write_metis_graph(std::ostream& out, const graph::Graph& g);
 
 /// Parses a METIS .graph file (fmt 0/1/10/11; no multi-constraint
 /// ncon). Validates symmetry of the listed adjacency. Throws
-/// util::CheckFailure on malformed input.
+/// util::InputError on malformed input.
 graph::Graph read_metis_graph(std::istream& in);
 
 /// Reads a METIS partition file (one 0-based shard id per line, one line
 /// per vertex). `k` = number of shards the file was produced for; ids
-/// must lie in [0, k). Throws util::CheckFailure on malformed input or a
+/// must lie in [0, k). Throws util::InputError on malformed input or a
 /// vertex-count mismatch.
 Partition read_metis_partition(std::istream& in, std::uint64_t num_vertices,
                                std::uint32_t k);

@@ -26,7 +26,7 @@ struct Columns {
 std::size_t find_column(const std::vector<std::string>& header,
                         const std::string& name) {
   const auto it = std::find(header.begin(), header.end(), name);
-  ETHSHARD_CHECK_MSG(it != header.end(),
+  ETHSHARD_INPUT_CHECK(it != header.end(),
                      "traces CSV is missing column '" << name << "'");
   return static_cast<std::size_t>(it - header.begin());
 }
@@ -92,7 +92,7 @@ bool is_hex_address(const std::string& s) {
 ImportResult import_bigquery_traces(std::istream& in) {
   util::CsvReader reader(in);
   std::vector<std::string> row;
-  ETHSHARD_CHECK_MSG(reader.read_row(row), "empty traces CSV");
+  ETHSHARD_INPUT_CHECK(reader.read_row(row), "empty traces CSV");
 
   Columns col;
   col.block_number = find_column(row, "block_number");
@@ -172,7 +172,7 @@ ImportResult import_bigquery_traces(std::istream& in) {
     }
 
     if (!block_open || block_number != source_block) {
-      ETHSHARD_CHECK_MSG(!block_open || block_number > source_block,
+      ETHSHARD_INPUT_CHECK(!block_open || block_number > source_block,
                          "traces CSV is not sorted by block_number");
       seal_block();
       source_block = block_number;
@@ -230,7 +230,7 @@ ImportResult import_bigquery_traces(std::istream& in) {
 
 ImportResult import_bigquery_traces_file(const std::string& path) {
   std::ifstream in(path);
-  ETHSHARD_CHECK_MSG(in.good(), "cannot open " << path);
+  ETHSHARD_INPUT_CHECK(in.good(), "cannot open " << path);
   return import_bigquery_traces(in);
 }
 

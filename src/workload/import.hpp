@@ -43,12 +43,12 @@ struct ImportResult {
   ImportStats stats;
 };
 
-/// Parses a BigQuery-style traces CSV. Throws util::CheckFailure on a
-/// missing required column or out-of-order blocks; malformed rows are
+/// Parses a BigQuery-style traces CSV. Throws util::InputError on an
+/// empty file, a missing required column or out-of-order blocks; malformed rows are
 /// counted in stats.skipped_rows and dropped.
 ImportResult import_bigquery_traces(std::istream& in);
 
-/// File convenience; throws util::CheckFailure if the file cannot open.
+/// File convenience; throws util::InputError if the file cannot open.
 ImportResult import_bigquery_traces_file(const std::string& path);
 
 }  // namespace ethshard::workload

@@ -23,7 +23,7 @@ std::string preset_name(Preset preset) {
 Preset preset_from_name(const std::string& name) {
   for (Preset p : kAllPresets)
     if (preset_name(p) == name) return p;
-  ETHSHARD_CHECK_MSG(false, "unknown preset '" << name << "'");
+  ETHSHARD_INPUT_CHECK(false, "unknown preset '" << name << "'");
   return Preset::kPaper;
 }
 

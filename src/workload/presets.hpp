@@ -30,7 +30,7 @@ inline constexpr Preset kAllPresets[] = {
 /// The preset's CLI/report name ("paper", "no-attack", ...).
 std::string preset_name(Preset preset);
 
-/// Parses a name produced by preset_name. Throws util::CheckFailure on an
+/// Parses a name produced by preset_name. Throws util::InputError on an
 /// unknown name.
 Preset preset_from_name(const std::string& name);
 

@@ -141,4 +141,38 @@ file(WRITE ${TRUNCATED} "${trace_header}\n${trace_row}\n${trace_cut}\n")
 expect_user_error("trace row with 3 fields"
   simulate --trace ${TRUNCATED} --method Hashing --shards 2)
 
+# Input that reaches the library is still reported as a user error.
+set(BQ_MISSING "${WORKDIR}/bq_missing_column.csv")
+file(WRITE ${BQ_MISSING} "block_number,from_address\n1,0xab\n")
+expect_user_error("traces CSV is missing column 'block_timestamp'"
+  import --traces ${BQ_MISSING} --out ${WORKDIR}/never.csv)
+expect_user_error("unknown preset 'bogus'"
+  stats --preset bogus --scale 0.0002)
+expect_user_error("--shards must be between 1 and [0-9]+, got 0"
+  simulate --trace ${TRACE} --method Hashing --shards 0)
+expect_user_error("--scale must be positive, got -1"
+  stats --scale -1)
+expect_user_error("bad --shards entry 'x'"
+  compare --trace ${TRACE} --shards 2,x)
+set(BAD_PART "${WORKDIR}/bad.part")
+file(WRITE ${BAD_PART} "0\nx\n")
+expect_user_error("metis: non-numeric token in 'x'"
+  metis-eval --trace ${TRACE} --part ${BAD_PART} --shards 2)
+expect_user_error("cannot open --metrics-out file /nonexistent/x.json"
+  simulate --trace ${TRACE} --method Hashing --metrics-out /nonexistent/x.json)
+
+# Output paths are checked before any history is generated or replayed:
+# the run fails at once, names the path and prints no replay summary.
+expect_user_error("cannot open --csv file /nonexistent/d/x.csv"
+  simulate --scale 0.0002 --csv /nonexistent/d/x.csv)
+execute_process(
+  COMMAND ${CLI} simulate --scale 0.0002 --csv /nonexistent/d/x.csv
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(out MATCHES "moves" OR err MATCHES "generating synthetic history")
+  message(FATAL_ERROR
+    "simulate with an unwritable --csv ran before failing:\n${out}\n${err}")
+endif()
+
 message(STATUS "cli smoke test passed")

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
@@ -145,41 +147,60 @@ TEST(GraphBuilder, UndirectedNeighborsDistinctInInsertionOrder) {
   EXPECT_TRUE(b.undirected_neighbors(2).size() == 1);
 }
 
-TEST(GraphBuilder, UntrackedBuilderBuildsIdenticalSnapshots) {
-  util::Rng rng(11);
-  GraphBuilder tracked(/*track_und_neighbors=*/true);
-  GraphBuilder untracked(/*track_und_neighbors=*/false);
-  tracked.ensure_vertices(40);
-  untracked.ensure_vertices(40);
-  for (int i = 0; i < 300; ++i) {
-    const Vertex u = rng.uniform(40);
-    const Vertex v = rng.uniform(40);
-    const Weight w = 1 + rng.uniform(3);
-    tracked.add_edge(u, v, w);
-    untracked.add_edge(u, v, w);
-  }
-  EXPECT_EQ(tracked.build_undirected(), untracked.build_undirected());
-  EXPECT_EQ(tracked.build_directed(), untracked.build_directed());
-  EXPECT_EQ(tracked.num_undirected_edges(), untracked.num_undirected_edges());
-  EXPECT_THROW(untracked.undirected_neighbors(0), util::CheckFailure);
-}
-
-TEST(GraphBuilder, InducedMatchesWholeGraphInduced) {
+TEST(GraphBuilder, WindowInducedMatchesFreshBuilder) {
+  // Over several start_window() rounds, with self-loops and a pair touched
+  // in every window, the window snapshot equals the induced snapshot of a
+  // fresh builder fed only that round's edges, and the cumulative graph
+  // still holds every round.
   util::Rng rng(7);
+  constexpr Vertex kN = 30;
   GraphBuilder b;
-  b.ensure_vertices(30, 1);
-  for (int i = 0; i < 200; ++i)
-    b.add_edge(rng.uniform(30), rng.uniform(30), 1 + rng.uniform(5));
+  GraphBuilder all;
+  b.ensure_vertices(kN, 1);
+  all.ensure_vertices(kN, 1);
   std::vector<Vertex> keep;
-  for (Vertex v = 0; v < 30; v += 2) keep.push_back(v);
-
+  for (Vertex v = 0; v < kN; v += 2) keep.push_back(v);
   std::vector<Vertex> scratch;  // grown on demand
-  const Graph direct = b.build_undirected_induced(keep, scratch);
-  const Graph via_snapshot = b.build_undirected().induced_subgraph(keep);
-  EXPECT_EQ(direct, via_snapshot);
-  // The scratch contract: restored to all-kInvalid for the next call.
-  for (Vertex v : scratch) EXPECT_EQ(v, Graph::kInvalid);
-  EXPECT_EQ(b.build_undirected_induced(keep, scratch), via_snapshot);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (round > 0) b.start_window();
+    GraphBuilder fresh;
+    fresh.ensure_vertices(kN, 0);
+    std::vector<Weight> activity(kN, 0);
+    Weight pair_weight = 0;
+    auto add = [&](Vertex u, Vertex v, Weight w) {
+      b.add_edge(u, v, w);
+      all.add_edge(u, v, w);
+      fresh.add_edge(u, v, w);
+      activity[u] += w;
+      if (v != u) {
+        activity[v] += w;
+        pair_weight += w;
+      }
+    };
+    add(4, 6, 2);  // the recurring pair, both directions
+    add(6, 4, 1);
+    add(8, 8, 3);  // a self-loop in every window
+    for (int i = 0; i < 60; ++i) {
+      const Vertex u = rng.uniform(kN);
+      const Vertex v = rng.bernoulli(0.1) ? u : rng.uniform(kN);
+      add(u, v, 1 + rng.uniform(5));
+    }
+    for (Vertex v = 0; v < kN; ++v) fresh.add_vertex_weight(v, activity[v]);
+
+    EXPECT_EQ(b.build_window_induced(keep, activity, scratch),
+              fresh.build_undirected().induced_subgraph(keep));
+    // The scratch contract: restored to all-kInvalid for the next call.
+    for (Vertex v : scratch) EXPECT_EQ(v, Graph::kInvalid);
+    EXPECT_EQ(b.verify_window(), pair_weight);
+  }
+  EXPECT_EQ(b.build_undirected(), all.build_undirected());
+  EXPECT_EQ(b.build_directed(), all.build_directed());
+  b.start_window();
+  EXPECT_EQ(b.verify_window(), 0u);
+  EXPECT_EQ(b.build_window_induced(keep, std::vector<Weight>(kN, 1), scratch)
+                .num_edges(),
+            0u);
 }
 
 TEST(GraphBuilder, InducedRejectsDirtyScratch) {
@@ -189,27 +210,9 @@ TEST(GraphBuilder, InducedRejectsDirtyScratch) {
   std::vector<Vertex> scratch(3, Graph::kInvalid);
   scratch[2] = 0;  // stale mapping from a buggy caller
   const std::vector<Vertex> keep = {1, 2};
-  EXPECT_THROW(b.build_undirected_induced(keep, scratch),
+  const std::vector<Weight> weights(3, 1);
+  EXPECT_THROW(b.build_window_induced(keep, weights, scratch),
                util::CheckFailure);
-}
-
-TEST(GraphBuilder, ResetEdgesKeepsVerticesDropsEdges) {
-  GraphBuilder b;
-  b.ensure_vertices(3, 5);
-  b.add_edge(0, 1, 2);
-  b.add_edge(1, 2, 3);
-  b.reset_edges(/*default_vertex_weight=*/0);
-  EXPECT_EQ(b.num_vertices(), 3u);
-  EXPECT_EQ(b.num_edges(), 0u);
-  EXPECT_EQ(b.num_undirected_edges(), 0u);
-  EXPECT_EQ(b.total_edge_weight(), 0u);
-  EXPECT_EQ(b.vertex_weight(1), 0u);
-  EXPECT_EQ(b.undirected_neighbors(1).size(), 0u);
-  // The builder is fully reusable after a reset.
-  b.add_edge(2, 0, 7);
-  EXPECT_EQ(b.num_edges(), 1u);
-  EXPECT_EQ(b.edge_weight(2, 0), 7u);
-  EXPECT_EQ(b.build_undirected().num_edges(), 1u);
 }
 
 // ------------------------------------------------------------------ CSR

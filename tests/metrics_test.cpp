@@ -10,6 +10,7 @@
 
 #include "core/simulator.hpp"
 #include "core/strategies.hpp"
+#include "eth/gas.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "metrics/metrics.hpp"
@@ -434,6 +435,115 @@ TEST(Consistency, SimulatorMetricsMatchBruteForce) {
       EXPECT_DOUBLE_EQ(r.executed_cross_shard_fraction,
                        strategy.cross_shard_fraction());
     }
+  }
+}
+
+/// Delegates to a real strategy and, at every compute_partition, checks
+/// env.window_graph() against a fresh GraphBuilder fed only the calls of
+/// the transactions executed since the previous repartition (on_transaction
+/// counts them; a repartition runs between blocks, so the count is exact).
+class WindowCheckingStrategy final : public core::ShardingStrategy {
+ public:
+  WindowCheckingStrategy(std::unique_ptr<core::ShardingStrategy> inner,
+                         std::vector<eth::Transaction> txs,
+                         std::uint64_t accounts, core::LoadModel load_model)
+      : inner_(std::move(inner)),
+        txs_(std::move(txs)),
+        accounts_(accounts),
+        load_model_(load_model) {}
+
+  std::string name() const override { return inner_->name(); }
+  partition::ShardId place(graph::Vertex v,
+                           std::span<const partition::ShardId> peers,
+                           const core::SimulatorEnv& env) override {
+    return inner_->place(v, peers, env);
+  }
+  bool should_repartition(const core::WindowSnapshot& snapshot,
+                          const core::SimulatorEnv& env) override {
+    return inner_->should_repartition(snapshot, env);
+  }
+  util::Timestamp no_repartition_before(
+      util::Timestamp last_repartition) const override {
+    return inner_->no_repartition_before(last_repartition);
+  }
+  Partition compute_partition(const core::SimulatorEnv& env) override {
+    check_window_graph(env.window_graph());
+    window_begin_ = next_tx_;
+    ++checked_;
+    return inner_->compute_partition(env);
+  }
+  void on_transaction(std::span<const graph::Vertex> involved,
+                      const core::SimulatorEnv& env,
+                      core::MigrationSink& sink) override {
+    ++next_tx_;
+    inner_->on_transaction(involved, env, sink);
+  }
+
+  std::uint64_t checked() const { return checked_; }
+
+ private:
+  void check_window_graph(const core::WindowGraph& wg) const {
+    graph::GraphBuilder fresh;
+    fresh.ensure_vertices(accounts_, /*default_weight=*/0);
+    for (std::size_t t = window_begin_; t < next_tx_; ++t)
+      for (const eth::Call& c : txs_[t].calls) {
+        graph::Weight load = 1;
+        if (load_model_ == core::LoadModel::kGas)
+          load = 1 + eth::call_gas(c, /*callee_exists=*/true) / 1000;
+        fresh.add_edge(c.from, c.to, 1);
+        fresh.add_vertex_weight(c.from, load);
+        if (c.to != c.from) fresh.add_vertex_weight(c.to, load);
+      }
+    std::vector<Vertex> active;
+    for (Vertex v = 0; v < accounts_; ++v)
+      if (fresh.vertex_weight(v) > 0) active.push_back(v);
+    EXPECT_EQ(wg.to_global, active) << "at repartition " << checked_;
+    EXPECT_EQ(wg.undirected, fresh.build_undirected().induced_subgraph(active))
+        << "at repartition " << checked_;
+  }
+
+  std::unique_ptr<core::ShardingStrategy> inner_;
+  std::vector<eth::Transaction> txs_;
+  std::uint64_t accounts_;
+  core::LoadModel load_model_;
+  std::size_t next_tx_ = 0;
+  std::size_t window_begin_ = 0;
+  std::uint64_t checked_ = 0;
+};
+
+TEST(Consistency, WindowGraphMatchesBruteForce) {
+  // The graph R-METIS, TR-METIS and KL partition — "the graph since the
+  // last (re)partitioning" (§II-C) — against a from-scratch build of that
+  // slice of the history: active set in ascending id, symmetrized edge
+  // weights and activity vertex weights, under both load models.
+  for (const core::Method method :
+       {core::Method::kRMetis, core::Method::kTrMetis, core::Method::kKl}) {
+    std::uint64_t checked = 0;
+    for (const core::LoadModel load_model :
+         {core::LoadModel::kCalls, core::LoadModel::kGas})
+      for (const std::uint32_t k : {2u, 8u})
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          const std::uint64_t accounts = 30 + seed * 7;
+          const workload::History h = random_history(seed, accounts);
+          std::vector<eth::Transaction> txs;
+          for (const eth::Block& b : h.chain.blocks())
+            txs.insert(txs.end(), b.transactions.begin(),
+                       b.transactions.end());
+          SCOPED_TRACE(core::method_name(method) + " k " + std::to_string(k) +
+                       " seed " + std::to_string(seed) +
+                       (load_model == core::LoadModel::kGas ? " gas"
+                                                            : " calls"));
+          WindowCheckingStrategy strategy(core::make_strategy(method, seed),
+                                          std::move(txs), accounts,
+                                          load_model);
+          core::SimulatorConfig cfg;
+          cfg.k = k;
+          cfg.load_model = load_model;
+          core::ShardingSimulator(h, strategy, cfg).run();
+          checked += strategy.checked();
+        }
+    EXPECT_GT(checked, 0u) << core::method_name(method)
+                           << " never repartitioned";
   }
 }
 

@@ -992,7 +992,7 @@ TEST(MetisIo, RejectsAsymmetricAdjacency) {
       "2 1\n"
       "2\n"
       "\n");
-  EXPECT_THROW(read_metis_graph(in), util::CheckFailure);
+  EXPECT_THROW(read_metis_graph(in), util::InputError);
 }
 
 TEST(MetisIo, RejectsEdgeCountMismatch) {
@@ -1001,7 +1001,7 @@ TEST(MetisIo, RejectsEdgeCountMismatch) {
       "2\n"
       "1\n"
       "\n");
-  EXPECT_THROW(read_metis_graph(in), util::CheckFailure);
+  EXPECT_THROW(read_metis_graph(in), util::InputError);
 }
 
 TEST(MetisIo, RejectsOutOfRangeNeighbor) {
@@ -1009,7 +1009,7 @@ TEST(MetisIo, RejectsOutOfRangeNeighbor) {
       "2 1\n"
       "5\n"
       "1\n");
-  EXPECT_THROW(read_metis_graph(in), util::CheckFailure);
+  EXPECT_THROW(read_metis_graph(in), util::InputError);
 }
 
 TEST(MetisIo, PartitionRoundTrip) {
@@ -1023,12 +1023,12 @@ TEST(MetisIo, PartitionRoundTrip) {
 
 TEST(MetisIo, PartitionRejectsWrongLineCount) {
   std::istringstream in("0\n1\n");
-  EXPECT_THROW(read_metis_partition(in, 3, 2), util::CheckFailure);
+  EXPECT_THROW(read_metis_partition(in, 3, 2), util::InputError);
 }
 
 TEST(MetisIo, PartitionRejectsOutOfRangeShard) {
   std::istringstream in("0\n7\n");
-  EXPECT_THROW(read_metis_partition(in, 2, 2), util::CheckFailure);
+  EXPECT_THROW(read_metis_partition(in, 2, 2), util::InputError);
 }
 
 // --------------------------------------------------------------- quality

@@ -288,7 +288,7 @@ TEST(Telemetry, OpenWritesFileAndRefusesBadPath) {
   std::remove(path.c_str());
 
   EXPECT_THROW(TelemetrySink::open("/nonexistent-dir/x/y.jsonl"),
-               util::CheckFailure);
+               util::InputError);
 }
 
 }  // namespace

@@ -554,7 +554,7 @@ TEST(WorkloadAnalysis, EmptyHistory) {
 TEST(Presets, NamesRoundTrip) {
   for (Preset p : kAllPresets)
     EXPECT_EQ(preset_from_name(preset_name(p)), p);
-  EXPECT_THROW(preset_from_name("bogus"), util::CheckFailure);
+  EXPECT_THROW(preset_from_name("bogus"), util::InputError);
 }
 
 TEST(Presets, NoAttackRemovesDummyWave) {
@@ -714,12 +714,12 @@ TEST(BigQueryImport, RejectsUnsortedBlocks) {
   csv += "10,1500000000,0x1," + addr(1) + "," + addr(2) + ",1,call,0x\n";
   csv += "9,1500000000,0x2," + addr(1) + "," + addr(2) + ",1,call,0x\n";
   std::istringstream in(csv);
-  EXPECT_THROW(import_bigquery_traces(in), util::CheckFailure);
+  EXPECT_THROW(import_bigquery_traces(in), util::InputError);
 }
 
 TEST(BigQueryImport, RejectsMissingColumns) {
   std::istringstream in("block_number,from_address\n1,0xab\n");
-  EXPECT_THROW(import_bigquery_traces(in), util::CheckFailure);
+  EXPECT_THROW(import_bigquery_traces(in), util::InputError);
 }
 
 TEST(BigQueryImport, ImportedHistoryDrivesSimulatorPipeline) {

@@ -16,7 +16,9 @@
 // subcommand at it.
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -138,6 +140,33 @@ util::Timestamp parse_date(const std::string& s) {
   return util::make_timestamp(y, m, d);
 }
 
+/// A shard count given by the user (--shards K, or one entry of a list).
+/// Partition and the strategies take 1 <= k < kUnassigned as given.
+std::uint32_t checked_shard_count(std::uint64_t k) {
+  ETHSHARD_INPUT_CHECK(k >= 1 && k < partition::kUnassigned,
+                       "--shards must be between 1 and "
+                           << partition::kUnassigned - 1 << ", got " << k);
+  return static_cast<std::uint32_t>(k);
+}
+
+std::uint32_t shard_count(const util::ArgParser& args) {
+  return checked_shard_count(args.get_uint("shards", 2));
+}
+
+/// Fails unless the file named by --`flag` (when given) can be opened for
+/// writing. Commands check their output paths before any history is
+/// generated or replayed, so a mistyped path does not cost the whole run.
+/// A file the probe had to create is removed again.
+void require_writable(const util::ArgParser& args, const std::string& flag) {
+  const std::string path = args.get(flag, "");
+  if (path.empty()) return;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  const bool writable = std::ofstream(path, std::ios::app).good();
+  if (writable && !existed) std::filesystem::remove(path, ec);
+  ETHSHARD_INPUT_CHECK(writable, "cannot open --" << flag << " file " << path);
+}
+
 /// Generator configuration from --preset/--scale/--seed, with --max-scale
 /// applied as a clamp (a guard for scripted sweeps: a fat-fingered scale
 /// cannot silently launch a machine-sized run).
@@ -145,6 +174,7 @@ workload::GeneratorConfig generator_config(const util::ArgParser& args) {
   const workload::Preset preset =
       workload::preset_from_name(args.get("preset", "paper"));
   double scale = args.get_double("scale", 0.002);
+  ETHSHARD_INPUT_CHECK(scale > 0.0, "--scale must be positive, got " << scale);
   const double max_scale = args.get_double("max-scale", 0.0);
   if (max_scale > 0.0 && scale > max_scale) {
     std::fprintf(stderr,
@@ -185,6 +215,7 @@ std::unique_ptr<workload::BlockSourceFactory> make_source_factory(
 int cmd_generate(const util::ArgParser& args) {
   const std::string out = args.get("out", "");
   ETHSHARD_INPUT_CHECK(!out.empty(), "generate requires --out PATH");
+  require_writable(args, "out");
   const workload::History history = load_history(args);
   workload::write_trace_file(out, history);
   const workload::HistoryStats st = workload::stats_of(history);
@@ -288,6 +319,14 @@ int cmd_stats(const util::ArgParser& args) {
 }
 
 int cmd_simulate(const util::ArgParser& args) {
+  require_writable(args, "csv");
+  require_writable(args, "events-csv");
+  std::unique_ptr<core::TelemetrySink> telemetry;
+  const std::string telemetry_path = args.get("telemetry-out", "");
+  if (!telemetry_path.empty())
+    telemetry = core::TelemetrySink::open(telemetry_path);
+  const auto k = shard_count(args);
+
   // --stream replays through a pull-based BlockSource (generator or
   // trace file) and never materializes the chain; otherwise the whole
   // history is loaded first, exactly as before. Results are
@@ -299,7 +338,6 @@ int cmd_simulate(const util::ArgParser& args) {
     source = make_source_factory(args)->open();
   else
     history.emplace(load_history(args));
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
 
   // --method takes a registry spec: a bare name ("R-METIS", or the
   // paper-figure alias "P-METIS") or name:key=value,... for tuning.
@@ -308,12 +346,7 @@ int cmd_simulate(const util::ArgParser& args) {
   const auto& strategy = build.strategy;
   core::SimulatorConfig cfg;
   cfg.k = k;
-  std::unique_ptr<core::TelemetrySink> telemetry;
-  const std::string telemetry_path = args.get("telemetry-out", "");
-  if (!telemetry_path.empty()) {
-    telemetry = core::TelemetrySink::open(telemetry_path);
-    cfg.telemetry = telemetry.get();
-  }
+  cfg.telemetry = telemetry.get();
   std::optional<core::ShardingSimulator> sim;
   if (stream)
     sim.emplace(*source, *strategy, cfg);
@@ -374,7 +407,7 @@ bool iequals(const std::string& a, const std::string& b) {
 }
 
 int cmd_partition(const util::ArgParser& args) {
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
+  const auto k = shard_count(args);
   const std::string only = args.get("method", "");
 
   std::vector<std::unique_ptr<partition::Partitioner>> methods;
@@ -487,6 +520,7 @@ graph::Graph final_graph(const workload::History& history) {
 int cmd_metis_export(const util::ArgParser& args) {
   const std::string out_path = args.get("out", "");
   ETHSHARD_INPUT_CHECK(!out_path.empty(), "metis-export requires --out PATH");
+  require_writable(args, "out");
   const workload::History history = load_history(args);
   const graph::Graph g = final_graph(history);
   std::ofstream out(out_path);
@@ -503,7 +537,7 @@ int cmd_metis_export(const util::ArgParser& args) {
 int cmd_metis_eval(const util::ArgParser& args) {
   const std::string part_path = args.get("part", "");
   ETHSHARD_INPUT_CHECK(!part_path.empty(), "metis-eval requires --part PATH");
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
+  const auto k = shard_count(args);
   const workload::History history = load_history(args);
   const graph::Graph g = final_graph(history);
 
@@ -518,6 +552,28 @@ int cmd_metis_eval(const util::ArgParser& args) {
 }
 
 int cmd_compare(const util::ArgParser& args) {
+  // The --shards list is parsed first, so a bad entry fails before any
+  // history is generated.
+  core::ExperimentConfig cfg;
+  cfg.shard_counts.clear();
+  std::stringstream ss(args.get("shards", "2,4,8"));
+  std::string token;
+  while (std::getline(ss, token, ',')) {
+    std::uint64_t k = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, k);
+    ETHSHARD_INPUT_CHECK(ec == std::errc{} && ptr == end,
+                         "bad --shards entry '" << token
+                                                << "' (want K or K1,K2,...)");
+    cfg.shard_counts.push_back(checked_shard_count(k));
+  }
+  ETHSHARD_INPUT_CHECK(!cfg.shard_counts.empty(), "empty --shards list");
+  cfg.seed = args.get_uint("seed", 7);
+  if (args.get_bool("gas", false)) cfg.load_model = core::LoadModel::kGas;
+  // --threads sizes the grid; ExperimentConfig::validate rejects an
+  // implausible value.
+  cfg.threads = static_cast<std::size_t>(args.get_uint("threads", 0));
+
   // --stream: every grid cell opens its own pull-based stream (the
   // factory re-generates or re-reads the trace per cell) instead of all
   // cells sharing one materialized History. Same results.
@@ -528,21 +584,6 @@ int cmd_compare(const util::ArgParser& args) {
     sources = make_source_factory(args);
   else
     history.emplace(load_history(args));
-  core::ExperimentConfig cfg;
-  cfg.seed = args.get_uint("seed", 7);
-  if (args.get_bool("gas", false)) cfg.load_model = core::LoadModel::kGas;
-  // --threads sizes the grid; ExperimentConfig::validate rejects an
-  // implausible value.
-  cfg.threads = static_cast<std::size_t>(args.get_uint("threads", 0));
-
-  const std::string shards = args.get("shards", "2,4,8");
-  cfg.shard_counts.clear();
-  std::stringstream ss(shards);
-  std::string token;
-  while (std::getline(ss, token, ','))
-    cfg.shard_counts.push_back(
-        static_cast<std::uint32_t>(std::stoul(token)));
-  ETHSHARD_INPUT_CHECK(!cfg.shard_counts.empty(), "empty --shards list");
 
   const auto runs = stream ? core::run_experiment(*sources, cfg)
                            : core::run_experiment(*history, cfg);
@@ -557,6 +598,7 @@ int cmd_import(const util::ArgParser& args) {
   const std::string out = args.get("out", "");
   ETHSHARD_INPUT_CHECK(!traces.empty() && !out.empty(),
                        "import requires --traces PATH and --out PATH");
+  require_writable(args, "out");
   const workload::ImportResult r =
       workload::import_bigquery_traces_file(traces);
   workload::write_trace_file(out, r.history);
@@ -580,6 +622,9 @@ int main(int argc, char** argv) {
   util::ArgParser args(argc - 2, argv + 2);
 
   try {
+    require_writable(args, "metrics-out");
+    require_writable(args, "trace-out");
+    require_writable(args, "verdict-out");
     const std::string metrics_out = args.get("metrics-out", "");
     const std::string trace_out = args.get("trace-out", "");
     if (!metrics_out.empty()) obs::set_enabled(true);
