@@ -113,11 +113,11 @@ std::vector<ExperimentRun> run_experiment(
       config.threads);
 
   if (obs::enabled()) {
-    [[maybe_unused]] const std::size_t workers =
+    const std::size_t workers =
         std::min(config.threads == 0 ? util::default_thread_count()
                                      : config.threads,
                  cells.size());
-    [[maybe_unused]] const double grid_wall_ms =
+    const double grid_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - grid_start)
             .count();

@@ -255,7 +255,7 @@ void ShardingSimulator::apply_cut_delta(graph::Vertex v,
   ETHSHARD_OBS_COUNT("sim/cut_delta_arcs_scanned", neighbors.size());
 }
 
-void ShardingSimulator::recompute_static_cut() {
+std::uint64_t ShardingSimulator::recompute_static_cut() const {
   std::uint64_t cut = 0;
   const std::uint64_t n = cumulative_.num_vertices();
   for (graph::Vertex v = 0; v < n; ++v)
@@ -263,8 +263,7 @@ void ShardingSimulator::recompute_static_cut() {
       if (u <= v) continue;  // count each undirected edge once
       if (part_.shard_of(v) != part_.shard_of(u)) ++cut;
     }
-  cut_edges_ = cut;
-  ETHSHARD_OBS_COUNT("sim/static_cut_recomputes", 1);
+  return cut;
 }
 
 const graph::Graph& ShardingSimulator::cumulative_snapshot() const {
@@ -283,12 +282,11 @@ const graph::Graph& ShardingSimulator::cumulative_snapshot() const {
 }
 
 void ShardingSimulator::verify_incremental_state() {
-  const std::uint64_t incremental_cut = cut_edges_;
-  recompute_static_cut();
-  ETHSHARD_CHECK_MSG(cut_edges_ == incremental_cut,
+  const std::uint64_t recomputed_cut = recompute_static_cut();
+  ETHSHARD_CHECK_MSG(cut_edges_ == recomputed_cut,
                      "incremental static cut diverged: incremental "
-                         << incremental_cut << " vs recomputed "
-                         << cut_edges_);
+                         << cut_edges_ << " vs recomputed "
+                         << recomputed_cut);
   ETHSHARD_CHECK_MSG(
       distinct_edges_ == cumulative_.num_undirected_edges(),
       "distinct-edge count diverged: " << distinct_edges_ << " vs "
@@ -338,8 +336,8 @@ void ShardingSimulator::flush_window(util::Timestamp window_end) {
   sample.static_balance = current_static_balance();
   sample.interactions = window_metrics_.total_interactions();
 
-  const bool record =
-      !cfg_.skip_empty_windows || !window_metrics_.empty();
+  // Quiet windows produce no sample, as in the paper's data points.
+  const bool record = !window_metrics_.empty();
   if (record) {
     result_.windows.push_back(sample);
     ETHSHARD_OBS_COUNT("sim/windows", 1);
@@ -360,7 +358,7 @@ void ShardingSimulator::flush_window(util::Timestamp window_end) {
   const bool repartitioned = maybe_repartition(snapshot);
   window_wall_start_ = std::chrono::steady_clock::now();
 
-  if (cfg_.telemetry != nullptr || cfg_.consumer != nullptr) {
+  if (!cfg_.consumers.empty()) {
     WindowTelemetry tel;
     tel.window_start = sample.window_start;
     tel.window_end = sample.window_end;
@@ -382,8 +380,8 @@ void ShardingSimulator::flush_window(util::Timestamp window_end) {
         static_cast<double>(util::current_rss_bytes()) / (1024.0 * 1024.0);
     tel.peak_rss_mb =
         static_cast<double>(util::peak_rss_bytes()) / (1024.0 * 1024.0);
-    if (cfg_.telemetry != nullptr) cfg_.telemetry->write_window(tel);
-    if (cfg_.consumer != nullptr) cfg_.consumer->on_window(tel);
+    for (TelemetryConsumer* consumer : cfg_.consumers)
+      consumer->on_window(tel);
   }
 }
 
@@ -403,38 +401,24 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
                      "strategy returned wrong-sized partition");
   ETHSHARD_CHECK(next.k() == cfg_.k);
 
-  if (cfg_.align_repartition_labels)
-    partition::align_partition_labels(part_, &next);
+  // Rename the new labels to maximize overlap with the current ones, so
+  // a from-scratch partitioner is not charged for pure label
+  // permutations (its structural reshuffling still counts in full).
+  partition::align_partition_labels(part_, &next);
 
-  // Collect the vertices whose label actually changes (any label,
-  // including kUnassigned — the cut treats it as one more shard id) and
-  // the adjacency volume a delta update would have to scan.
+  // Reassign every vertex whose label changes (any label, including
+  // kUnassigned — the cut treats it as one more shard id). Each vertex's
+  // cut delta is evaluated against the current part_ state and applied
+  // before its own reassignment, so sequential application is exact for
+  // any move set; every vertex moves at most once, so the deltas scan at
+  // most the 2 arcs per distinct edge a full sweep would.
   std::uint64_t moves = 0;
   std::uint64_t moved_state = 0;
-  std::uint64_t delta_scan_arcs = 0;
-  reassigned_.clear();
   for (graph::Vertex v = 0; v < part_.size(); ++v) {
     const partition::ShardId a = part_.shard_of(v);
     const partition::ShardId b = next.shard_of(v);
     if (a == b) continue;
-    reassigned_.push_back(v);
-    delta_scan_arcs += cumulative_.undirected_neighbors(v).size();
-    if (a == partition::kUnassigned || b == partition::kUnassigned)
-      continue;
-    ++moves;
-    moved_state += 1 + activity_[v];
-  }
-
-  // Assignment-dependent bookkeeping follows the moved vertices only.
-  // Each vertex's cut delta is evaluated against the current part_ state
-  // and applied before its own reassignment, so sequential application
-  // is exact for any move set. When the moved adjacency exceeds a full
-  // sweep (2 arcs per distinct edge), recompute instead.
-  const bool delta_cheaper = delta_scan_arcs < 2 * distinct_edges_;
-  for (graph::Vertex v : reassigned_) {
-    const partition::ShardId a = part_.shard_of(v);
-    const partition::ShardId b = next.shard_of(v);
-    if (delta_cheaper) apply_cut_delta(v, a, b);
+    apply_cut_delta(v, a, b);
     if (a != partition::kUnassigned) {
       --shard_counts_[a];
       shard_loads_[a] -= activity_[v];
@@ -444,8 +428,11 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
       shard_loads_[b] += activity_[v];
     }
     part_.assign(v, b);
+    if (a == partition::kUnassigned || b == partition::kUnassigned)
+      continue;
+    ++moves;
+    moved_state += 1 + activity_[v];
   }
-  if (!delta_cheaper) recompute_static_cut();
 
   if (cfg_.verify_incremental) {
     verify_incremental_state();
@@ -483,10 +470,9 @@ void ShardingSimulator::begin_step(util::Timestamp ts) {
     // pending window up to the current block is empty too. Skip them
     // wholesale as far as the strategy's no_repartition_before bound
     // allows — they would produce no sample and a guaranteed-false
-    // should_repartition, so the result is identical.
-    if (cfg_.fast_forward_gaps && cfg_.skip_empty_windows &&
-        cfg_.telemetry == nullptr && cfg_.consumer == nullptr &&
-        window_metrics_.empty()) {
+    // should_repartition, so the result is identical. Consumers see
+    // every window, so the skip runs only when none is attached.
+    if (cfg_.consumers.empty() && window_metrics_.empty()) {
       const util::Timestamp width = cfg_.metric_window;
       const auto pending =
           static_cast<std::uint64_t>((now_ - window_start_) / width);
@@ -511,17 +497,6 @@ void ShardingSimulator::begin_step(util::Timestamp ts) {
   }
 }
 
-void ShardingSimulator::run_serial() {
-  // next_ref() is zero-copy for a MaterializedSource (it hands out the
-  // chain's own storage), so the History adapter replays exactly as the
-  // old by-reference loop did; streaming sources buffer one block.
-  while (const eth::Block* block = source_->next_ref()) {
-    begin_step(block->timestamp);
-    for (const eth::Transaction& tx : block->transactions)
-      process_transaction(tx);
-  }
-}
-
 SimulationResult ShardingSimulator::run() {
   ETHSHARD_CHECK_MSG(!ran_, "simulator is single-use");
   ran_ = true;
@@ -530,7 +505,13 @@ SimulationResult ShardingSimulator::run() {
   result_.strategy_name = strategy_.name();
   result_.k = cfg_.k;
 
-  run_serial();
+  // next_ref() is zero-copy for a MaterializedSource (it hands out the
+  // chain's own storage); streaming sources buffer one block.
+  while (const eth::Block* block = source_->next_ref()) {
+    begin_step(block->timestamp);
+    for (const eth::Transaction& tx : block->transactions)
+      process_transaction(tx);
+  }
 
   // Empty stream: no window clock ever started, nothing to flush (the
   // result keeps its default-constructed aggregates, as before).

@@ -37,30 +37,13 @@ struct SimulatorConfig {
   util::Timestamp metric_window = util::kMetricWindow;
   /// Unit of the dynamic-balance load (kCalls reproduces the paper).
   LoadModel load_model = LoadModel::kCalls;
-  /// Suppress empty windows (periods with no traffic produce no sample,
-  /// mirroring the paper's data points).
-  bool skip_empty_windows = true;
-  /// Rename each newly computed partition's shard labels to maximize
-  /// overlap with the previous assignment before counting moves, so a
-  /// from-scratch partitioner is not charged for pure label permutations
-  /// (its structural reshuffling — the paper's METIS pitfall — still
-  /// counts in full).
-  bool align_repartition_labels = true;
-  /// Optional streaming sink: when set, the simulator writes one JSONL
-  /// record per evaluation window as it completes (see core/telemetry.hpp
-  /// for the schema). Not owned; must outlive the simulator.
-  TelemetrySink* telemetry = nullptr;
-  /// Optional in-process consumer of the same per-window records the
-  /// sink serializes (invariant evaluation, live dashboards). Called on
-  /// the flush thread, after the sink's write when both are set. Not
-  /// owned; must outlive the simulator.
-  TelemetryConsumer* consumer = nullptr;
-  /// Skip long runs of empty windows in one step instead of flushing them
-  /// one at a time, when the strategy declares (no_repartition_before)
-  /// that quiet windows cannot trigger it. Only engages when
-  /// skip_empty_windows is set and no telemetry sink or consumer is
-  /// attached, so the observable output is identical either way.
-  bool fast_forward_gaps = true;
+  /// In-process consumers of the per-window records (JSONL sinks,
+  /// invariant evaluation), called in order on the replay thread after
+  /// every window flush. Not owned; each must outlive the simulator. With
+  /// none attached, long runs of empty windows are skipped in one step
+  /// when the strategy declares (no_repartition_before) that quiet
+  /// windows cannot trigger it; the result is identical either way.
+  std::vector<TelemetryConsumer*> consumers;
   /// Debug cross-check: at every window flush, recompute the static cut
   /// from scratch and compare with the incrementally maintained count
   /// (and, at repartitions, rebuild the cumulative snapshot and compare
@@ -135,7 +118,7 @@ struct SimulationResult {
   /// never cross shards (see metrics::WindowAccumulator).
   double executed_cross_shard_fraction = 0;
   /// Empty windows elided by the gap fast-forward (they produce no sample
-  /// either way; see SimulatorConfig::fast_forward_gaps).
+  /// either way; see SimulatorConfig::consumers).
   std::uint64_t gap_windows_skipped = 0;
 };
 
@@ -167,8 +150,6 @@ class ShardingSimulator {
   class Env;
   class Sink;
 
-  /// Per-call replay of the whole source.
-  void run_serial();
   /// Lazy window-clock start + per-block window advance: the first
   /// block anchors window_start_ (a streaming source only reveals its
   /// first timestamp at the first pull); afterwards flushes every window
@@ -189,10 +170,9 @@ class ShardingSimulator {
   /// (v's own entry is not read; the undirected adjacency has no loops).
   void apply_cut_delta(graph::Vertex v, partition::ShardId from,
                        partition::ShardId to);
-  /// From-scratch O(E) static-cut sweep — the delta path's fallback (when
-  /// a repartition moves more adjacency than a full sweep would touch)
-  /// and the verify_incremental cross-check.
-  void recompute_static_cut();
+  /// From-scratch O(E) count of cut edges — the verify_incremental
+  /// reference for cut_edges_.
+  std::uint64_t recompute_static_cut() const;
   /// Cached symmetrized snapshot of cumulative_, rebuilt only when edges
   /// or vertices were added since the last call.
   const graph::Graph& cumulative_snapshot() const;
@@ -228,7 +208,7 @@ class ShardingSimulator {
   // edges (a→b and b→a count once, as in the symmetrized graph). New
   // edges adjust the counts at insertion; migrations and repartitions
   // apply O(deg) deltas via apply_cut_delta, so cut_edges_ is exact at
-  // all times (recompute_static_cut survives as fallback + cross-check).
+  // all times (recompute_static_cut survives as the cross-check).
   std::uint64_t distinct_edges_ = 0;
   std::uint64_t cut_edges_ = 0;
 
@@ -241,11 +221,9 @@ class ShardingSimulator {
   mutable graph::Weight cum_snapshot_weight_ = 0;
 
   // Scratch reused by every Env::window_graph() construction (active
-  // vertex list + old→new id map, kept all-kInvalid between calls) and
-  // by maybe_repartition's moved-vertex collection.
+  // vertex list + old→new id map, kept all-kInvalid between calls).
   mutable std::vector<graph::Vertex> window_active_;
   mutable std::vector<graph::Vertex> window_old_to_new_;
-  std::vector<graph::Vertex> reassigned_;
 
   // History-wide executed interaction accounting (pair = between
   // distinct accounts; the cross-shard denominator).

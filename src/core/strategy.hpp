@@ -66,8 +66,8 @@ class ShardingStrategy {
   /// the last repartition happened at `last_repartition`. The simulator
   /// uses this to fast-forward long traffic gaps: empty windows ending
   /// strictly before the returned time are skipped without consulting the
-  /// strategy at all (they are not recorded either — see
-  /// SimulatorConfig::skip_empty_windows). Returning kAlwaysConsult (the
+  /// strategy at all (quiet windows produce no sample either way; see
+  /// SimulatorConfig::consumers). Returning kAlwaysConsult (the
   /// conservative default) disables skipping; kNeverOnEmpty declares that
   /// quiet windows can never trigger a repartition (pure threshold
   /// strategies); periodic strategies return last_repartition + period.

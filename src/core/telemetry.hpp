@@ -15,8 +15,8 @@
 //    "dynamic_balance": f, "static_edge_cut": f, "static_balance": f,
 //    "window_wall_ms": f, "repartition": bool, "partitioner_ms": f,
 //    "moves": N, "moved_state_units": N, "rss_mb": f, "peak_rss_mb": f}
-// "recorded" mirrors SimulatorConfig::skip_empty_windows — false marks
-// a window that produced no WindowSample (no traffic). "v" is the
+// "recorded" says whether the window had traffic — false marks a window
+// that produced no WindowSample. "v" is the
 // schema version; consumers should ignore unknown keys (rss_mb and
 // peak_rss_mb were appended by the streaming BlockSource work — the
 // resident set at flush time and the process high-water mark, both 0
@@ -39,7 +39,7 @@ struct WindowTelemetry {
   /// one past the last block timestamp.
   std::uint64_t window_end = 0;
   std::uint64_t interactions = 0;
-  /// False for windows suppressed by skip_empty_windows.
+  /// False for a window with no traffic (it produced no WindowSample).
   bool recorded = true;
   double dynamic_edge_cut = 0;
   double dynamic_balance = 1;
@@ -68,10 +68,11 @@ struct WindowTelemetry {
 /// In-process consumer of the per-window telemetry stream. Where
 /// TelemetrySink serializes records to JSONL for external tools, a
 /// TelemetryConsumer sees the same WindowTelemetry structs live, in
-/// window order, on the simulator's flush thread — the hook the scenario
-/// invariants harness (src/scenario) evaluates against without ever
-/// materializing the window history. Implementations must not block:
-/// on_window sits on the replay path.
+/// window order, on the replay thread — the hook the scenario invariants
+/// harness (src/scenario) evaluates against without ever materializing
+/// the window history. Attach through SimulatorConfig::consumers; a run
+/// with any consumer attached flushes every window, quiet ones included.
+/// Implementations must not block: on_window sits on the replay path.
 class TelemetryConsumer {
  public:
   virtual ~TelemetryConsumer() = default;

@@ -2,21 +2,14 @@
 // current registry, scoped timers, and the instrumentation macros used in
 // hot paths.
 //
-// Compile-time gate: build with -DETHSHARD_OBS_ENABLED=0 (CMake option
-// ETHSHARD_OBS=OFF) and every macro below expands to nothing — no call,
-// no argument evaluation. With instrumentation compiled in, the runtime
-// switches (obs::set_enabled / obs::set_trace_enabled, both default off)
-// gate all recording behind one relaxed atomic load.
+// The runtime switches (obs::set_enabled / obs::set_trace_enabled, both
+// default off) gate all recording behind one relaxed atomic load.
 #pragma once
 
 #include <string_view>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-
-#ifndef ETHSHARD_OBS_ENABLED
-#define ETHSHARD_OBS_ENABLED 1
-#endif
 
 namespace ethshard::obs {
 
@@ -55,8 +48,6 @@ class ScopedTimer {
 };
 
 }  // namespace ethshard::obs
-
-#if ETHSHARD_OBS_ENABLED
 
 #define ETHSHARD_OBS_CONCAT_INNER(a, b) a##b
 #define ETHSHARD_OBS_CONCAT(a, b) ETHSHARD_OBS_CONCAT_INNER(a, b)
@@ -100,26 +91,3 @@ class ScopedTimer {
 #define ETHSHARD_OBS_SPAN(name)          \
   ::ethshard::obs::ScopedSpan ETHSHARD_OBS_CONCAT(obs_span_, \
                                                   __LINE__)(name)
-
-#else  // !ETHSHARD_OBS_ENABLED
-
-#define ETHSHARD_OBS_COUNT(name, delta) \
-  do {                                  \
-  } while (0)
-#define ETHSHARD_OBS_GAUGE(name, value) \
-  do {                                  \
-  } while (0)
-#define ETHSHARD_OBS_RECORD_MS(name, ms) \
-  do {                                   \
-  } while (0)
-#define ETHSHARD_OBS_HIST(name, value) \
-  do {                                 \
-  } while (0)
-#define ETHSHARD_OBS_TIMER(name) \
-  do {                           \
-  } while (0)
-#define ETHSHARD_OBS_SPAN(name) \
-  do {                          \
-  } while (0)
-
-#endif  // ETHSHARD_OBS_ENABLED

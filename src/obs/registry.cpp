@@ -51,13 +51,11 @@ void set_enabled(bool on) {
 namespace internal {
 
 void refresh_parallel_hooks() {
-#if ETHSHARD_OBS_ENABLED
   // Hook the parallel runtime's pool telemetry in/out with the master
   // switches (metrics feed the registry, tracing names worker lanes) so
   // fully disabled runs pay nothing beyond one null-pointer check.
   const bool on = enabled() || trace_enabled();
   util::set_parallel_telemetry(on ? &kParallelHooks : nullptr);
-#endif
 }
 
 }  // namespace internal

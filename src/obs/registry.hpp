@@ -7,11 +7,8 @@
 // registry has ever handed out (sinks are owned by the registry, so data
 // from joined worker threads is never lost).
 //
-// Two gates keep the cost near zero when observability is off:
-//   * compile time — ETHSHARD_OBS_ENABLED=0 turns the macros in obs.hpp
-//     into no-ops (no call, no argument evaluation);
-//   * run time — enabled() is a relaxed atomic load checked before any
-//     work; the default is off.
+// The cost stays near zero when observability is off: enabled() is a
+// relaxed atomic load checked before any work, and the default is off.
 #pragma once
 
 #include <cstdint>

@@ -33,10 +33,10 @@ std::string sanitize_spec(const std::string& spec) {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  ETHSHARD_CHECK_MSG(in.good(), "cannot open golden file "
-                                    << path
-                                    << " (run scenario_runner "
-                                       "--update-golden to regenerate)");
+  ETHSHARD_INPUT_CHECK(in.good(), "cannot open golden file "
+                                      << path
+                                      << " (run scenario_runner "
+                                         "--update-golden to regenerate)");
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
@@ -74,9 +74,9 @@ StrategyRunReport run_strategy(const Scenario& scenario,
   std::unique_ptr<workload::BlockSourceFactory> factory =
       std::make_unique<workload::GeneratedSourceFactory>(gcfg);
   if (scenario.gap_days > 0) {
-    ETHSHARD_CHECK_MSG(scenario.gap_start > 0,
-                       "scenario '" << scenario.name
-                                    << "' sets gap_days without gap_start");
+    ETHSHARD_INPUT_CHECK(scenario.gap_start > 0,
+                         "scenario '" << scenario.name
+                                      << "' sets gap_days without gap_start");
     factory = std::make_unique<workload::TrafficGapSourceFactory>(
         std::move(factory), scenario.gap_start,
         static_cast<util::Timestamp>(scenario.gap_days *
@@ -118,8 +118,8 @@ StrategyRunReport run_strategy(const Scenario& scenario,
   cfg.k = scenario.shards;
   cfg.metric_window = scenario.metric_window;
   cfg.load_model = scenario.load_model;
-  cfg.telemetry = sink.get();
-  cfg.consumer = &set;
+  if (sink) cfg.consumers.push_back(sink.get());
+  cfg.consumers.push_back(&set);
 
   // Bracket the replay with a peak-RSS reset so the reported high-water
   // mark is attributable to this (scenario, strategy) cell alone.

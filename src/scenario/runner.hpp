@@ -39,8 +39,8 @@ struct RunnerOptions {
 };
 
 /// Replays one scenario against one strategy spec. Throws
-/// util::InputError on an unknown or malformed strategy spec and
-/// util::CheckFailure on a missing golden file; invariant *violations*
+/// util::InputError on an unknown or malformed strategy spec or a
+/// missing golden file; invariant *violations*
 /// are reported, not thrown.
 /// `options.overrides` are NOT applied here — run_scenario folds them
 /// into the scenario before delegating.

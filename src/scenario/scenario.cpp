@@ -24,26 +24,26 @@ std::string trim(const std::string& s) {
 double parse_double(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  ETHSHARD_CHECK_MSG(end != value.c_str() && *end == '\0',
-                     "scenario key '" << key << "': bad number '" << value
-                                      << "'");
+  ETHSHARD_INPUT_CHECK(end != value.c_str() && *end == '\0',
+                       "scenario key '" << key << "': bad number '" << value
+                                        << "'");
   return v;
 }
 
 std::uint64_t parse_uint(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  ETHSHARD_CHECK_MSG(end != value.c_str() && *end == '\0',
-                     "scenario key '" << key << "': bad integer '" << value
-                                      << "'");
+  ETHSHARD_INPUT_CHECK(end != value.c_str() && *end == '\0',
+                       "scenario key '" << key << "': bad integer '" << value
+                                        << "'");
   return v;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
-  ETHSHARD_CHECK_MSG(false, "scenario key '" << key << "': bad boolean '"
-                                             << value << "'");
+  ETHSHARD_INPUT_CHECK(false, "scenario key '" << key << "': bad boolean '"
+                                               << value << "'");
   return false;
 }
 
@@ -51,7 +51,7 @@ util::Timestamp parse_date(const std::string& key, const std::string& value) {
   int y = 0;
   int m = 0;
   int d = 0;
-  ETHSHARD_CHECK_MSG(
+  ETHSHARD_INPUT_CHECK(
       std::sscanf(value.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
       "scenario key '" << key << "': bad date '" << value
                        << "' (want YYYY-MM-DD)");
@@ -90,37 +90,37 @@ void apply_scenario_setting(Scenario& s, const std::string& key,
     s.preset = workload::preset_from_name(value);
   } else if (key == "scale") {
     s.scale = parse_double(key, value);
-    ETHSHARD_CHECK_MSG(s.scale > 0, "scenario scale must be positive");
+    ETHSHARD_INPUT_CHECK(s.scale > 0, "scenario scale must be positive");
   } else if (key == "seed") {
     s.seed = parse_uint(key, value);
   } else if (key == "shards") {
     s.shards = static_cast<std::uint32_t>(parse_uint(key, value));
-    ETHSHARD_CHECK_MSG(s.shards >= 2, "scenario shards must be >= 2");
+    ETHSHARD_INPUT_CHECK(s.shards >= 2, "scenario shards must be >= 2");
   } else if (key == "load_model") {
     if (value == "calls") {
       s.load_model = core::LoadModel::kCalls;
     } else if (value == "gas") {
       s.load_model = core::LoadModel::kGas;
     } else {
-      ETHSHARD_CHECK_MSG(false, "scenario load_model '"
-                                    << value << "' (want calls or gas)");
+      ETHSHARD_INPUT_CHECK(false, "scenario load_model '"
+                                      << value << "' (want calls or gas)");
     }
   } else if (key == "metric_window_hours") {
     const double hours = parse_double(key, value);
-    ETHSHARD_CHECK_MSG(hours > 0, "metric_window_hours must be positive");
+    ETHSHARD_INPUT_CHECK(hours > 0, "metric_window_hours must be positive");
     s.metric_window = static_cast<util::Timestamp>(
         hours * static_cast<double>(util::kHour));
   } else if (key == "strategies") {
     s.strategies = split_list(value);
-    ETHSHARD_CHECK_MSG(!s.strategies.empty(),
-                       "scenario strategies list is empty");
+    ETHSHARD_INPUT_CHECK(!s.strategies.empty(),
+                         "scenario strategies list is empty");
   } else if (key == "strategy_seed") {
     s.strategy_seed = parse_uint(key, value);
   } else if (key == "gap_start") {
     s.gap_start = parse_date(key, value);
   } else if (key == "gap_days") {
     s.gap_days = parse_double(key, value);
-    ETHSHARD_CHECK_MSG(s.gap_days >= 0, "gap_days must be >= 0");
+    ETHSHARD_INPUT_CHECK(s.gap_days >= 0, "gap_days must be >= 0");
   } else if (key == "invariant.balance_max") {
     s.balance_max = parse_double(key, value);
   } else if (key == "invariant.balance_min_interactions") {
@@ -134,7 +134,7 @@ void apply_scenario_setting(Scenario& s, const std::string& key,
   } else if (key == "invariant.drift_golden") {
     s.drift_golden = value;
   } else {
-    ETHSHARD_CHECK_MSG(false, "unknown scenario key '" << key << "'");
+    ETHSHARD_INPUT_CHECK(false, "unknown scenario key '" << key << "'");
   }
 }
 
@@ -152,22 +152,22 @@ Scenario parse_scenario_text(const std::string& text,
     line = trim(line);
     if (line.empty()) continue;
     const std::size_t eq = line.find('=');
-    ETHSHARD_CHECK_MSG(eq != std::string::npos,
-                       "scenario line " << lineno << " has no '=': \""
-                                        << line << "\"");
+    ETHSHARD_INPUT_CHECK(eq != std::string::npos,
+                         "scenario line " << lineno << " has no '=': \""
+                                          << line << "\"");
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    ETHSHARD_CHECK_MSG(!key.empty(),
-                       "scenario line " << lineno << " has an empty key");
+    ETHSHARD_INPUT_CHECK(!key.empty(),
+                         "scenario line " << lineno << " has an empty key");
     apply_scenario_setting(s, key, value);
   }
-  ETHSHARD_CHECK_MSG(!s.name.empty(), "scenario has no name");
+  ETHSHARD_INPUT_CHECK(!s.name.empty(), "scenario has no name");
   return s;
 }
 
 Scenario load_scenario_file(const std::string& path) {
   std::ifstream in(path);
-  ETHSHARD_CHECK_MSG(in.good(), "cannot open scenario file " << path);
+  ETHSHARD_INPUT_CHECK(in.good(), "cannot open scenario file " << path);
   std::stringstream buf;
   buf << in.rdbuf();
   // File stem as the default name: "scenarios/dos_spike.scn" → "dos_spike".

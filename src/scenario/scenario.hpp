@@ -93,7 +93,7 @@ struct Scenario {
 
 /// Applies one "key = value" setting to `s`. The same entry point serves
 /// the file parser and the runner's --override flag, so anything a file
-/// can say, a command line can tighten. Throws util::CheckFailure on an
+/// can say, a command line can tighten. Throws util::InputError on an
 /// unknown key or unparsable value, naming it.
 void apply_scenario_setting(Scenario& s, const std::string& key,
                             const std::string& value);
@@ -103,7 +103,8 @@ void apply_scenario_setting(Scenario& s, const std::string& key,
 Scenario parse_scenario_text(const std::string& text,
                              const std::string& name_hint);
 
-/// Reads and parses `path`; records it as Scenario::file.
+/// Reads and parses `path`; records it as Scenario::file. Throws
+/// util::InputError when the file cannot be read.
 Scenario load_scenario_file(const std::string& path);
 
 /// The fully composed generator configuration: preset → scale/seed →

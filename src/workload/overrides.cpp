@@ -15,27 +15,27 @@ namespace {
 double parse_double(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  ETHSHARD_CHECK_MSG(end != value.c_str() && *end == '\0',
-                     "workload override '" << key << "': bad number '"
-                                           << value << "'");
+  ETHSHARD_INPUT_CHECK(end != value.c_str() && *end == '\0',
+                       "workload override '" << key << "': bad number '"
+                                             << value << "'");
   return v;
 }
 
 std::uint64_t parse_uint(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  ETHSHARD_CHECK_MSG(end != value.c_str() && *end == '\0',
-                     "workload override '" << key << "': bad integer '"
-                                           << value << "'");
+  ETHSHARD_INPUT_CHECK(end != value.c_str() && *end == '\0',
+                       "workload override '" << key << "': bad integer '"
+                                             << value << "'");
   return v;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
-  ETHSHARD_CHECK_MSG(false, "workload override '"
-                                << key << "': bad boolean '" << value
-                                << "' (want true/false/1/0)");
+  ETHSHARD_INPUT_CHECK(false, "workload override '"
+                                  << key << "': bad boolean '" << value
+                                  << "' (want true/false/1/0)");
   return false;
 }
 
@@ -43,7 +43,7 @@ util::Timestamp parse_date(const std::string& key, const std::string& value) {
   int y = 0;
   int m = 0;
   int d = 0;
-  ETHSHARD_CHECK_MSG(
+  ETHSHARD_INPUT_CHECK(
       std::sscanf(value.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
       "workload override '" << key << "': bad date '" << value
                             << "' (want YYYY-MM-DD)");
@@ -200,14 +200,14 @@ void apply_generator_override(GeneratorConfig& cfg, const std::string& key,
       if (!known.empty()) known += ", ";
       known += k;
     }
-    ETHSHARD_CHECK_MSG(false, "unknown workload override '"
-                                  << key << "' (known: " << known << ")");
+    ETHSHARD_INPUT_CHECK(false, "unknown workload override '"
+                                    << key << "' (known: " << known << ")");
   }
   it->second(cfg, key, value);
 }
 
 void check_growth_timeline(const GeneratorConfig& cfg) {
-  ETHSHARD_CHECK_MSG(
+  ETHSHARD_INPUT_CHECK(
       cfg.model.genesis < cfg.model.attack_start &&
           cfg.model.attack_start <= cfg.model.attack_end &&
           cfg.model.attack_end < cfg.model.end,

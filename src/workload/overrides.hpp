@@ -7,7 +7,7 @@
 // → knob mapping behind that, kept in workload/ so anything else that
 // wants text-addressable generator configuration (sweep scripts, future
 // CLI flags) shares one table. Unknown keys and unparsable values throw
-// util::CheckFailure naming the offending token, mirroring the
+// util::InputError naming the offending token, mirroring the
 // StrategyRegistry spec grammar's behaviour.
 #pragma once
 
@@ -23,7 +23,7 @@ namespace ethshard::workload {
 /// "model." prefix ("model.attack_interactions"). Durations use unit
 /// suffixes in the key ("block_interval_hours", "ico_lifetime_days");
 /// time anchors ("model.genesis", "model.end", ...) take YYYY-MM-DD
-/// dates. Booleans accept true/false/1/0. Throws util::CheckFailure on
+/// dates. Booleans accept true/false/1/0. Throws util::InputError on
 /// an unknown key or a value that does not parse, naming it.
 void apply_generator_override(GeneratorConfig& cfg, const std::string& key,
                               const std::string& value);
@@ -36,7 +36,7 @@ std::vector<std::string> generator_override_keys();
 /// attack_end < end). Callers run this once after applying a whole
 /// override sequence — not per key, since a legal sequence may pass
 /// through an illegal intermediate state ("move attack_start and
-/// attack_end both before the shortened end"). Throws util::CheckFailure
+/// attack_end both before the shortened end"). Throws util::InputError
 /// when the ordering is broken.
 void check_growth_timeline(const GeneratorConfig& cfg);
 

@@ -102,14 +102,9 @@ TEST_F(ObsTest, ScopedRegistryRedirectsAndRestores) {
     ETHSHARD_OBS_COUNT("x", 1);
   }
   ETHSHARD_OBS_COUNT("y", 1);
-#if ETHSHARD_OBS_ENABLED
   EXPECT_EQ(inner.snapshot().counters.at("x"), 1u);
   EXPECT_EQ(outer.snapshot().counters.count("x"), 0u);
   EXPECT_EQ(outer.snapshot().counters.at("y"), 1u);
-#else
-  EXPECT_TRUE(inner.snapshot().empty());
-  EXPECT_TRUE(outer.snapshot().empty());
-#endif
 }
 
 TEST_F(ObsTest, AbsorbFoldsChildSnapshots) {
@@ -132,13 +127,9 @@ TEST_F(ObsTest, ScopedTimerRecordsWhenEnabled) {
     ETHSHARD_OBS_TIMER("timed");
   }
   const obs::MetricsSnapshot snap = reg.snapshot();
-#if ETHSHARD_OBS_ENABLED
   ASSERT_EQ(snap.timers.count("timed"), 1u);
   EXPECT_EQ(snap.timers.at("timed").count, 1u);
   EXPECT_GE(snap.timers.at("timed").total_ms, 0.0);
-#else
-  EXPECT_TRUE(snap.empty());
-#endif
 }
 
 TEST_F(ObsTest, SpansNestIntoPaths) {
@@ -326,13 +317,9 @@ TEST_F(ObsTest, HistMacroRespectsMasterSwitch) {
   ETHSHARD_OBS_HIST("h", 4.0);
   ETHSHARD_OBS_HIST("h", 6.0);
   const obs::MetricsSnapshot snap = reg.snapshot();
-#if ETHSHARD_OBS_ENABLED
   ASSERT_EQ(snap.histograms.count("h"), 1u);
   EXPECT_EQ(snap.histograms.at("h").count(), 2u);
   EXPECT_DOUBLE_EQ(snap.histograms.at("h").mean(), 5.0);
-#else
-  EXPECT_TRUE(snap.empty());
-#endif
 }
 
 // ----------------------------------------------------------------- export

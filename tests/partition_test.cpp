@@ -684,12 +684,10 @@ TEST(Mlkp, PartitionDigestsArePinned) {
           << pin.graph << " seed=" << pin.seed << " k=" << pin.k
           << " observe=" << observe;
     }
-#if ETHSHARD_OBS_ENABLED
     // The instrumentation really fired on the observed pass.
     if (observe) {
       EXPECT_GE(reg.snapshot().counters.at("pmatch/invocations"), 1u);
     }
-#endif
   }
   obs::set_enabled(false);
   obs::set_trace_enabled(false);

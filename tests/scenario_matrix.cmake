@@ -1,5 +1,6 @@
 # Runs the checked-in scenario matrix through scenario_runner and gates
-# on the report JSON — the same artifact CI uploads. Two legs:
+# on the report JSON — the same artifact CI uploads. After a few
+# user-error probes, two legs:
 #
 #   green  the full scenarios/ directory must pass wholesale, with the
 #          coverage the harness promises (>= 5 scenarios, >= 25 strategy
@@ -22,6 +23,42 @@ if(CMAKE_VERSION VERSION_LESS 3.19)
   message(FATAL_ERROR "scenario_matrix.cmake needs cmake >= 3.19")
 endif()
 file(MAKE_DIRECTORY "${WORKDIR}")
+
+# --- user errors --------------------------------------------------------
+
+# Bad input fails with a message naming the problem, never as an
+# internal check (no "check failed", no source path), and before any
+# scenario runs.
+function(expect_user_error expect_regex)
+  execute_process(
+    COMMAND ${RUNNER} ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "scenario_runner ${ARGN} should fail")
+  endif()
+  if(NOT err MATCHES "${expect_regex}")
+    message(FATAL_ERROR
+      "scenario_runner ${ARGN}: expected stderr matching "
+      "'${expect_regex}', got:\n${err}")
+  endif()
+  if(err MATCHES "check failed" OR err MATCHES "\\.cpp:")
+    message(FATAL_ERROR
+      "scenario_runner ${ARGN}: user error reported as an internal "
+      "check:\n${err}")
+  endif()
+endfunction()
+
+expect_user_error("no such file or directory: /nonexistent/x.scn"
+  /nonexistent/x.scn)
+set(empty_dir "${WORKDIR}/no_scenarios")
+file(MAKE_DIRECTORY "${empty_dir}")
+expect_user_error("directory has no .scn files" ${empty_dir})
+expect_user_error("cannot open --out file"
+  --out /nonexistent/dir/report.json ${SCENARIOS})
+expect_user_error("--scale-mult must be a positive number, got 'abc'"
+  --scale-mult abc ${SCENARIOS})
 
 # --- green leg ----------------------------------------------------------
 

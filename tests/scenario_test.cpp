@@ -83,15 +83,26 @@ invariant.drift_golden = golden/storm
 }
 
 TEST(ScenarioParse, RejectsUnknownAndMalformed) {
-  EXPECT_THROW(parse_scenario_text("bogus_key = 1", "x"),
-               util::CheckFailure);
-  EXPECT_THROW(parse_scenario_text("scale", "x"), util::CheckFailure);
+  // Scenario text is user input: every rejection is an InputError.
+  EXPECT_THROW(parse_scenario_text("bogus_key = 1", "x"), util::InputError);
+  EXPECT_THROW(parse_scenario_text("scale", "x"), util::InputError);
   EXPECT_THROW(parse_scenario_text("scale = not_a_number", "x"),
-               util::CheckFailure);
-  EXPECT_THROW(parse_scenario_text("shards = 1", "x"), util::CheckFailure);
+               util::InputError);
+  EXPECT_THROW(parse_scenario_text("shards = 1", "x"), util::InputError);
+  EXPECT_THROW(parse_scenario_text("invariant.sanity = maybe", "x"),
+               util::InputError);
+  EXPECT_THROW(parse_scenario_text("gap_start = soon", "x"),
+               util::InputError);
   // Workload overrides are validated at parse time, naming typos early.
   EXPECT_THROW(parse_scenario_text("workload.attack_fractoin = 0.5", "x"),
-               util::CheckFailure);
+               util::InputError);
+  EXPECT_THROW(parse_scenario_text("workload.p_new_sender = lots", "x"),
+               util::InputError);
+}
+
+TEST(ScenarioParse, RejectsUnreadableFile) {
+  EXPECT_THROW(load_scenario_file("/nonexistent-dir/x.scn"),
+               util::InputError);
 }
 
 TEST(ScenarioParse, GeneratorConfigComposesPresetAndOverrides) {
@@ -121,7 +132,7 @@ TEST(ScenarioParse, TimelineValidatedAfterWholeOverrideSequence) {
   Scenario broken = parse_scenario_text(
       "workload.model.end = 2016-01-31\n",  // before the default attack
       "broken");
-  EXPECT_THROW(generator_config(broken), util::CheckFailure);
+  EXPECT_THROW(generator_config(broken), util::InputError);
 }
 
 // --- invariant evaluators ----------------------------------------------
@@ -380,6 +391,14 @@ TEST(Runner, GoldenPathFlattensSpecAndResolvesRelative) {
   EXPECT_EQ(golden_path(s, "kl"), "./golden/g/kl.jsonl");
   s.drift_golden = "";
   EXPECT_THROW(golden_path(s, "kl"), util::CheckFailure);
+}
+
+TEST(Runner, MissingGoldenIsInputError) {
+  Scenario s;
+  s.name = "g";
+  s.file = "/nonexistent-dir/g.scn";
+  s.drift_golden = "golden/g";
+  EXPECT_THROW(run_strategy(s, "hashing", RunnerOptions{}), util::InputError);
 }
 
 }  // namespace

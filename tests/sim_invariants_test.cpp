@@ -57,8 +57,8 @@ class RecordingStrategy final : public ShardingStrategy {
 
   bool should_repartition(const WindowSnapshot& snapshot,
                           const SimulatorEnv& env) override {
-    // Quiet windows produce no sample (skip_empty_windows), so record
-    // only what the simulator records.
+    // Quiet windows produce no sample, so record only what the
+    // simulator records.
     if (snapshot.interactions > 0) {
       const graph::Graph g = env.cumulative_graph();
       expected_.emplace_back(
@@ -95,7 +95,6 @@ void expect_incremental_matches_scratch(const std::string& spec,
       StrategyRegistry::global().make(spec, /*default_seed=*/7));
   SimulatorConfig cfg;
   cfg.k = k;
-  cfg.skip_empty_windows = true;
   ShardingSimulator sim(history, strategy, cfg);
   const SimulationResult result = sim.run();
 
@@ -182,8 +181,16 @@ TEST(IncrementalDifferential, MetisFamilies) {
 
 // ------------------------------------------------ gap fast-forwarding
 
-/// Runs `spec` over a history with a long mid-trace traffic gap, with and
-/// without fast_forward_gaps, and requires identical observable output.
+/// Sees every window and does nothing with it: attaching it turns the gap
+/// fast-forward off.
+class NullConsumer final : public TelemetryConsumer {
+ public:
+  void on_window(const WindowTelemetry&) override {}
+};
+
+/// Runs `spec` over a history with a long mid-trace traffic gap, with no
+/// consumer (the fast-forward runs) and with a no-op consumer (every
+/// window is flushed), and requires identical observable output.
 void expect_fast_forward_equivalent(const std::string& spec,
                                     std::uint32_t k) {
   const workload::History base = tiny_history(3);
@@ -199,9 +206,10 @@ void expect_fast_forward_equivalent(const std::string& spec,
         mid, 400 * util::kDay);
     const auto strategy =
         StrategyRegistry::global().make(spec, /*default_seed=*/7);
+    NullConsumer null_consumer;
     SimulatorConfig cfg;
     cfg.k = k;
-    cfg.fast_forward_gaps = fast_forward;
+    if (!fast_forward) cfg.consumers.push_back(&null_consumer);
     ShardingSimulator sim(gapped, *strategy, cfg);
     return sim.run();
   };

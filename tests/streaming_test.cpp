@@ -64,7 +64,7 @@ RunOutput run_source(workload::BlockSource& source, const std::string& spec,
   std::unique_ptr<TelemetrySink> sink;
   if (with_telemetry) {
     sink = std::make_unique<TelemetrySink>(os);
-    cfg.telemetry = sink.get();
+    cfg.consumers.push_back(sink.get());
   }
   ShardingSimulator sim(source, *strategy, cfg);
   RunOutput out;
@@ -83,7 +83,7 @@ RunOutput run_history(const workload::History& history,
   std::unique_ptr<TelemetrySink> sink;
   if (with_telemetry) {
     sink = std::make_unique<TelemetrySink>(os);
-    cfg.telemetry = sink.get();
+    cfg.consumers.push_back(sink.get());
   }
   ShardingSimulator sim(history, *strategy, cfg);
   RunOutput out;
@@ -93,19 +93,26 @@ RunOutput run_history(const workload::History& history,
 }
 
 // Blanks the value of a `"key": <number>` field wherever it appears.
-std::string blank_field(std::string text, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
+std::string blank_field(const std::string& text, const std::string& key) {
+  std::string needle = "\"";
+  needle += key;
+  needle += "\": ";
+  std::string out;
+  out.reserve(text.size());
+  std::size_t copied = 0;
   std::size_t at = 0;
-  while ((at = text.find(needle, at)) != std::string::npos) {
-    std::size_t i = at + needle.size();
-    std::size_t end = i;
+  while ((at = text.find(needle, copied)) != std::string::npos) {
+    const std::size_t value = at + needle.size();
+    std::size_t end = value;
     while (end < text.size() && text[end] != ',' && text[end] != '}' &&
            text[end] != '\n')
       ++end;
-    text.replace(i, end - i, "X");
-    at = i;
+    out.append(text, copied, value - copied);
+    out += 'X';
+    copied = end;
   }
-  return text;
+  out.append(text, copied);
+  return out;
 }
 
 // Telemetry modulo per-run measurements: wall clocks and the resident-

@@ -103,7 +103,7 @@ TelemetryRun run_with_telemetry(Method method) {
   TelemetrySink sink(out);
   SimulatorConfig cfg;
   cfg.k = 2;
-  cfg.telemetry = &sink;
+  cfg.consumers = {&sink};
   ShardingSimulator sim(history, *strategy, cfg);
   TelemetryRun run;
   run.result = sim.run();
@@ -242,7 +242,7 @@ TEST(Telemetry, RepartitionCostNotChargedToNextWindow) {
   TelemetrySink sink(out);
   SimulatorConfig cfg;
   cfg.k = 2;
-  cfg.telemetry = &sink;
+  cfg.consumers = {&sink};
   ShardingSimulator sim(history, strategy, cfg);
   const SimulationResult result = sim.run();
   ASSERT_EQ(result.repartitions.size(), 1u);
@@ -262,6 +262,46 @@ TEST(Telemetry, RepartitionCostNotChargedToNextWindow) {
     EXPECT_LT(std::stod(m.at("window_wall_ms")), 200.0) << line;
   }
   EXPECT_TRUE(saw_repartition);
+}
+
+// Counts the windows it sees and keeps their bounds.
+class CountingConsumer final : public TelemetryConsumer {
+ public:
+  void on_window(const WindowTelemetry& w) override {
+    bounds.emplace_back(w.window_start, w.window_end);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> bounds;
+};
+
+// Every consumer in the list sees every window flush, in window order:
+// a sink and an in-process consumer attached together agree record by
+// record, and the windows tile the run without a gap.
+TEST(Telemetry, SinkAndConsumerSeeEveryWindowInOrder) {
+  const workload::History history = small_history();
+  const auto strategy = make_strategy(Method::kRMetis, /*seed=*/5);
+  std::ostringstream out;
+  TelemetrySink sink(out);
+  CountingConsumer counter;
+  SimulatorConfig cfg;
+  cfg.k = 2;
+  cfg.consumers = {&sink, &counter};
+  ShardingSimulator sim(history, *strategy, cfg);
+  const SimulationResult result = sim.run();
+  EXPECT_EQ(result.gap_windows_skipped, 0u);
+
+  std::istringstream in(out.str());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sink_bounds;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto m = as_map(parse_line(line));
+    sink_bounds.emplace_back(std::stoull(m.at("window_start")),
+                             std::stoull(m.at("window_end")));
+  }
+  ASSERT_GT(counter.bounds.size(), result.windows.size());
+  EXPECT_EQ(sink.records_written(), counter.bounds.size());
+  EXPECT_EQ(sink_bounds, counter.bounds);
+  for (std::size_t i = 1; i < counter.bounds.size(); ++i)
+    EXPECT_EQ(counter.bounds[i].first, counter.bounds[i - 1].second) << i;
 }
 
 TEST(Telemetry, OpenWritesFileAndRefusesBadPath) {

@@ -346,7 +346,7 @@ int cmd_simulate(const util::ArgParser& args) {
   const auto& strategy = build.strategy;
   core::SimulatorConfig cfg;
   cfg.k = k;
-  cfg.telemetry = telemetry.get();
+  if (telemetry) cfg.consumers.push_back(telemetry.get());
   std::optional<core::ShardingSimulator> sim;
   if (stream)
     sim.emplace(*source, *strategy, cfg);
@@ -418,7 +418,10 @@ int cmd_partition(const util::ArgParser& args) {
   methods.push_back(std::make_unique<partition::FennelPartitioner>());
   if (!only.empty()) {
     std::string known;
-    for (const auto& m : methods) known += " " + m->name();
+    for (const auto& m : methods) {
+      known += ' ';
+      known += m->name();
+    }
     std::erase_if(methods,
                   [&](const auto& m) { return !iequals(m->name(), only); });
     ETHSHARD_INPUT_CHECK(!methods.empty(),

@@ -21,9 +21,10 @@
 //
 // Exit codes: 0 all invariants pass, 1 at least one violation, 2 usage
 // or configuration error (unparsable scenario, unknown strategy,
-// missing golden).
+// missing golden, unwritable --out).
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -52,16 +53,16 @@ std::vector<std::string> collect_scenario_files(
     const std::vector<std::string>& inputs) {
   std::vector<std::string> files;
   for (const auto& input : inputs) {
-    ETHSHARD_CHECK_MSG(fs::exists(input), "no such file or directory: "
-                                              << input);
+    ETHSHARD_INPUT_CHECK(fs::exists(input),
+                         "no such file or directory: " << input);
     if (fs::is_directory(input)) {
       std::vector<std::string> dir_files;
       for (const auto& entry : fs::directory_iterator(input))
         if (entry.is_regular_file() && entry.path().extension() == ".scn")
           dir_files.push_back(entry.path().string());
       std::sort(dir_files.begin(), dir_files.end());
-      ETHSHARD_CHECK_MSG(!dir_files.empty(),
-                         "directory has no .scn files: " << input);
+      ETHSHARD_INPUT_CHECK(!dir_files.empty(),
+                           "directory has no .scn files: " << input);
       files.insert(files.end(), dir_files.begin(), dir_files.end());
     } else {
       files.push_back(input);
@@ -98,9 +99,13 @@ int main(int argc, char** argv) {
       }
       options.overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (arg == "--scale-mult") {
-      options.scale_mult = std::stod(next_value("--scale-mult"));
-      if (options.scale_mult <= 0) {
-        std::fprintf(stderr, "--scale-mult must be positive\n");
+      const std::string value = next_value("--scale-mult");
+      char* end = nullptr;
+      options.scale_mult = std::strtod(value.c_str(), &end);
+      if (end == value.c_str() || *end != '\0' || !(options.scale_mult > 0)) {
+        std::fprintf(stderr,
+                     "--scale-mult must be a positive number, got '%s'\n",
+                     value.c_str());
         return 2;
       }
     } else if (arg == "--update-golden") {
@@ -137,16 +142,21 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // Open --out before any scenario runs, so a bad path fails at once.
+    std::ofstream out_file;
+    if (!out_path.empty()) {
+      out_file.open(out_path);
+      ETHSHARD_INPUT_CHECK(out_file.good(),
+                           "cannot open --out file " << out_path);
+    }
+
     const scenario::Report report =
         scenario::run_matrix(scenarios, options);
 
-    if (out_path.empty()) {
+    if (out_path.empty())
       scenario::write_report_json(report, std::cout);
-    } else {
-      std::ofstream out(out_path);
-      ETHSHARD_CHECK_MSG(out.good(), "cannot open --out file " << out_path);
-      scenario::write_report_json(report, out);
-    }
+    else
+      scenario::write_report_json(report, out_file);
 
     // One human-readable line per run on stderr so CI logs show where a
     // red verdict came from without opening the artifact.
